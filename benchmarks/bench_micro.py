@@ -46,7 +46,6 @@ _RESULTS: list[dict] = []
 _ENV_BENCH_NAMES = frozenset(
     {
         "maxlog_llrs[numba]",
-        "viterbi_decode[numba]",
         "serving_fleet[numpy]",
         "serving_fleet_single[numpy]",
     }
@@ -75,8 +74,8 @@ _CORE_BENCH_NAMES = frozenset(
         "serving_churn_sequential[numpy]",
         "serving_faulted[numpy]",
         "serving_coded[numpy]",
-        "viterbi_decode[python]",
-        "viterbi_decode[numpy]",
+        "viterbi_decode[rows64]",
+        "viterbi_decode[rows1]",
         "ann_forward",
         "quantized_hard_bits",
         "e2e_train_step",
@@ -326,64 +325,64 @@ def test_sweep_multi_vs_sequential_numpy32(benchmark, sweep_stream):
 
 
 # -- Viterbi decoding section -------------------------------------------------
-# The coded serving path's ACS inner loop: soft-decision Viterbi on the
-# K=7 (171,133) industry-standard rate-1/2 code, ~1 kbit of info per decode.
-# Three tiers share the trellis tables: the pure-python reference ACS,
-# the vectorised NumPy kernel, and (when installed) the numba kernel —
-# check_bench gates numba at >= 5x pure python.
+# The coded serving path's decode on its own geometry: CodedFrameConfig()'s
+# K=3 (7,5) code over a 224-symbol 16-QAM payload (442 trellis steps), 64
+# blocks.  ``rows64`` decodes them in one row-batched kernel launch (what a
+# full serving group does); ``rows1`` decodes the same blocks one launch
+# each.  check_bench gates rows64 >= 10x rows1.
 
-VIT_INFO_BITS = 1024
-VIT_GENERATORS = (0o171, 0o133)
-VIT_K = 7
+VIT_ROWS = 64
 
 
 @pytest.fixture(scope="module")
 def viterbi_workload():
-    from repro.ecc import ConvolutionalCode
+    from repro.serving import CodedFrameConfig, coded_layout
 
-    code = ConvolutionalCode(VIT_GENERATORS, VIT_K)
+    layout = coded_layout(CodedFrameConfig(), 224 * 4)
+    code = layout.code
     rng = np.random.default_rng(21)
-    bits = rng.integers(0, 2, VIT_INFO_BITS).astype(np.int8)
-    coded = code.encode(bits).astype(np.float64)
-    # mildly noisy LLRs: the decode is still exact, so every tier's result
-    # can be verified against the transmitted bits before it is timed
-    llrs = (2.0 * coded - 1.0) * 4.0 + rng.normal(scale=1.0, size=coded.size)
-    return code, llrs.reshape(-1, code.n_out), bits
+    bits = rng.integers(0, 2, (VIT_ROWS, layout.n_steps - (code.k - 1))).astype(np.int8)
+    coded = np.stack([code.encode(row) for row in bits]).astype(np.float64)
+    # mildly noisy LLRs: the decode is still exact, so the result can be
+    # verified against the transmitted bits before it is timed
+    llrs = (2.0 * coded - 1.0) * 4.0 + rng.normal(scale=1.0, size=coded.shape)
+    return code, llrs.reshape(VIT_ROWS, layout.n_steps, code.n_out), bits
 
 
-def _bench_viterbi_tier(benchmark, viterbi_workload, tier, backend):
-    code, llrs, bits = viterbi_workload
-    res = code.decode_soft(llrs, backend=backend)  # warm trellis/JIT caches
-    assert np.array_equal(res.data, bits)
-    benchmark(code.decode_soft, llrs, backend=backend)
+def _bench_viterbi(benchmark, viterbi_workload, name, decode):
+    from repro.backend import backend_from_name
+
+    code, blocks, bits = viterbi_workload
+    be = backend_from_name("numpy")
+    decoded = decode(code, blocks, be)  # warm trellis tables and workspace
+    assert np.array_equal(decoded[:, : bits.shape[1]], bits)
+    benchmark(decode, code, blocks, be)
     _record(
-        benchmark, f"viterbi_decode[{tier}]", symbols=VIT_INFO_BITS,
-        extra={"backend": tier, "unit": "info_bits",
-               "constraint_length": VIT_K, "n_out": code.n_out},
+        benchmark, name, symbols=bits.size,
+        extra={"backend": "numpy", "unit": "info_bits", "rows": VIT_ROWS,
+               "n_steps": blocks.shape[1], "constraint_length": code.k},
     )
 
 
-def test_viterbi_decode_python(benchmark, viterbi_workload):
-    """The pure-python reference ACS (the parity baseline every kernel
-    must match bit-for-bit)."""
-    _bench_viterbi_tier(benchmark, viterbi_workload, "python", None)
+def test_viterbi_decode_rows64(benchmark, viterbi_workload):
+    from repro.backend.dispatch import grouped_viterbi_decode
+
+    def decode(code, blocks, be):
+        return grouped_viterbi_decode(code, blocks, backend=be)[0]
+
+    _bench_viterbi(benchmark, viterbi_workload, "viterbi_decode[rows64]", decode)
 
 
-def test_viterbi_decode_numpy(benchmark, viterbi_workload):
-    from repro.backend import backend_from_name
+def test_viterbi_decode_rows1(benchmark, viterbi_workload):
+    from repro.backend.dispatch import grouped_viterbi_decode
 
-    _bench_viterbi_tier(
-        benchmark, viterbi_workload, "numpy", backend_from_name("numpy")
-    )
+    def decode(code, blocks, be):
+        return np.concatenate([
+            grouped_viterbi_decode(code, blocks[r : r + 1], backend=be)[0]
+            for r in range(blocks.shape[0])
+        ])
 
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-def test_viterbi_decode_numba(benchmark, viterbi_workload):
-    from repro.backend import backend_from_name
-
-    _bench_viterbi_tier(
-        benchmark, viterbi_workload, "numba", backend_from_name("numba")
-    )
+    _bench_viterbi(benchmark, viterbi_workload, "viterbi_decode[rows1]", decode)
 
 
 # -- serving section ----------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.modulation.bits import indices_to_bits
 from repro.nn.layers import ReLU, Sequential
@@ -85,6 +84,8 @@ class SymbolwiseDemapperANN(Module):
         ``llr_k = logsumexp_{i: b_k=1}(z_i) − logsumexp_{i: b_k=0}(z_i)``
         (softmax normalisation cancels).  Convention: llr > 0 ⇒ bit 1.
         """
+        from scipy.special import logsumexp  # deferred: keeps scipy out of `import repro`
+
         z = self.forward(received)
         k = self.bits_per_symbol
         out = np.empty((z.shape[0], k))

@@ -20,8 +20,8 @@ Numba's compiled kernels) are shared across all call sites.
 
 Every tier serves the same kernel surface: the demapping kernels
 (``maxlog_llrs``/``logmap_llrs`` and their multi-sigma forms,
-``hard_indices``), the decoding kernel (``viterbi_decode`` — the soft
-Viterbi ACS the coded serving path dispatches), and the dense-algebra
+``hard_indices``), the decoding kernel (``viterbi_decode`` — the
+row-batched soft Viterbi ACS every decode path dispatches), and the dense-algebra
 helpers (``linear``/``gemm``/``gemm_i64``).
 """
 

@@ -220,15 +220,16 @@ def grouped_viterbi_decode(
     *,
     backend=None,
     key: str = "vit",
-) -> list[tuple[np.ndarray, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Soft-decision Viterbi over a stack of equal-geometry LLR blocks.
 
     The coded sibling of :func:`batched_maxlog_llrs`: callers (the serving
     engine) group coalesced frames by their
     :class:`~repro.serving.coding.CodedFrameConfig`, so every block of a
-    launch shares ``code``'s trellis — the (cached) transition/output
-    tables are fetched once and the per-block branch metrics land in one
-    ``key``-namespaced workspace tensor, not one allocation per frame.
+    launch shares ``code``'s trellis.  One einsum contracts the whole
+    ``(R, T, n_out)`` stack against the (cached) output table into a
+    ``key``-namespaced workspace branch-metric tensor, and one
+    ``viterbi_decode`` kernel call decodes every row.
 
     Parameters
     ----------
@@ -244,12 +245,13 @@ def grouped_viterbi_decode(
 
     Returns
     -------
-    Per-block ``(bits, path_metric)`` tuples in row order, where ``bits``
-    is the full int8 decoded path (termination tail included — callers
-    slice ``bits[:n_steps - (K - 1)]``).  Each row's result is a pure
-    function of that row's LLRs alone (the ACS never mixes rows), and on
-    every tier it is bit-identical to ``code.decode_soft`` on the single
-    block — the decode analogue of the demap grouping contract.
+    ``(bits, path_metrics)``: the full int8 decoded paths ``(R, n_steps)``
+    (termination tail included — callers slice ``[:, :n_steps - (K - 1)]``)
+    and the float64 terminated path metrics ``(R,)``.  Each row's result
+    is a pure function of that row's LLRs alone — a branch metric sums
+    only its own row's LLRs and the ACS never mixes rows — so it is
+    bit-identical to ``code.decode_soft`` on the single block, the decode
+    analogue of the demap grouping contract.
     """
     be = backend if backend is not None else get_backend()
     blocks = np.asarray(llr_blocks, dtype=np.float64)
@@ -262,10 +264,5 @@ def grouped_viterbi_decode(
         raise ValueError(f"blocks carry {n_out} LLRs per step, code emits {code.n_out}")
     src, inb, outputs = code.trellis_tables()
     bm = be.scratch(f"{key}_bm", (r, n_steps, code.n_states, 2), dtype=np.float64)
-    results: list[tuple[np.ndarray, float]] = []
-    for row in range(r):
-        # per-row einsum: exactly the reference decode_soft contraction, so
-        # batch composition can never perturb a block's branch metrics
-        np.einsum("tj,sbj->tsb", blocks[row], outputs, out=bm[row])
-        results.append(be.viterbi_decode(bm[row], src, inb, key=key))
-    return results
+    np.einsum("rtj,sbj->rtsb", blocks, outputs, out=bm)
+    return be.viterbi_decode(bm, src, inb, key=key)

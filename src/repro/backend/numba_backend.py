@@ -30,6 +30,7 @@ from repro.backend.numpy_backend import (
     _check_llr_multi_out,
     _check_llr_out,
     _check_multi_args,
+    _check_viterbi_args,
 )
 
 __all__ = ["NUMBA_AVAILABLE", "NumbaBackend"]
@@ -171,36 +172,38 @@ def _get_kernels() -> SimpleNamespace:  # pragma: no cover - needs numba install
             out[i] = arg
 
     @njit(cache=True)
-    def viterbi(bm, src, inb, prev, bits):
-        # terminated-trellis ACS + traceback; strict `>` on arrival 1
-        # replicates the NumPy reference's first-wins argmax tie-breaking,
+    def viterbi(bm, src, inb, prev, bits, metrics):
+        # row-batched terminated-trellis ACS + traceback, one row at a time;
+        # strict `>` on arrival 1 is the first-wins tie-break of every tier,
         # and each arrival is the same single IEEE double add
-        n_steps = bm.shape[0]
-        n_states = bm.shape[1]
+        n_rows = bm.shape[0]
+        n_steps = bm.shape[1]
+        n_states = bm.shape[2]
         metric = np.empty(n_states, dtype=np.float64)
         nxt = np.empty(n_states, dtype=np.float64)
-        for s in range(n_states):
-            metric[s] = -np.inf
-        metric[0] = 0.0
-        for t in range(n_steps):
+        for r in range(n_rows):
             for s in range(n_states):
-                s0 = src[s, 0]
-                s1 = src[s, 1]
-                a0 = metric[s0] + bm[t, s0, inb[s, 0]]
-                a1 = metric[s1] + bm[t, s1, inb[s, 1]]
-                if a1 > a0:
-                    nxt[s] = a1
-                    prev[t, s] = s1
-                else:
-                    nxt[s] = a0
-                    prev[t, s] = s0
-            for s in range(n_states):
-                metric[s] = nxt[s]
-        state = 0
-        for t in range(n_steps - 1, -1, -1):
-            bits[t] = state & 1
-            state = prev[t, state]
-        return metric[0]
+                metric[s] = -np.inf
+            metric[0] = 0.0
+            for t in range(n_steps):
+                for s in range(n_states):
+                    s0 = src[s, 0]
+                    s1 = src[s, 1]
+                    a0 = metric[s0] + bm[r, t, s0, inb[s, 0]]
+                    a1 = metric[s1] + bm[r, t, s1, inb[s, 1]]
+                    if a1 > a0:
+                        nxt[s] = a1
+                        prev[t, s] = s1
+                    else:
+                        nxt[s] = a0
+                        prev[t, s] = s0
+                for s in range(n_states):
+                    metric[s] = nxt[s]
+            state = 0
+            for t in range(n_steps - 1, -1, -1):
+                bits[r, t] = state & 1
+                state = prev[t, state]
+            metrics[r] = metric[0]
 
     @njit(cache=True)
     def gemm_i64(x, w, bias, out):
@@ -294,18 +297,14 @@ class NumbaBackend(NumpyBackend):
         return out.reshape(y.shape) if y.ndim != 1 else out
 
     def viterbi_decode(self, branch_metrics, src, inb, *, key="viterbi"):  # pragma: no cover - needs numba
-        bm = np.ascontiguousarray(np.asarray(branch_metrics, dtype=np.float64))
-        if bm.ndim != 3 or bm.shape[2] != 2:
-            raise ValueError(
-                f"branch_metrics must be (n_steps, n_states, 2), got {bm.shape}"
-            )
-        n_steps, n_states = bm.shape[0], bm.shape[1]
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        inb = np.ascontiguousarray(inb, dtype=np.int64)
+        bm, src, inb = _check_viterbi_args(branch_metrics, src, inb)
+        n_rows, n_steps, n_states = bm.shape[:3]
+        # one row's predecessor table, reused across rows (cache-resident)
         prev = self.scratch(key + "_prev", (n_steps, n_states), dtype=np.int64)
-        bits = np.empty(n_steps, dtype=np.int8)
-        metric = self._k.viterbi(bm, src, inb, prev, bits)
-        return bits, float(metric)
+        bits = np.empty((n_rows, n_steps), dtype=np.int8)
+        metrics = np.empty(n_rows, dtype=np.float64)
+        self._k.viterbi(bm, src, inb, prev, bits, metrics)
+        return bits, metrics
 
     def gemm_i64(self, x, weight, bias=None):  # pragma: no cover - needs numba
         x = np.ascontiguousarray(x, dtype=np.int64)

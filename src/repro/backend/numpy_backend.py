@@ -53,6 +53,27 @@ def _check_llr_out(out: np.ndarray | None, n: int, k: int) -> np.ndarray:
     return out
 
 
+def _check_viterbi_args(
+    branch_metrics: np.ndarray, src: np.ndarray, inb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate ``viterbi_decode``'s ``(R, T, S, 2)`` branch metrics and the
+    ``(S, 2)`` arrival tables; returns them as contiguous float64/int64."""
+    bm = np.ascontiguousarray(branch_metrics, dtype=np.float64)
+    if bm.ndim != 4 or bm.shape[3] != 2:
+        raise ValueError(
+            f"branch_metrics must be (R, n_steps, n_states, 2), got {bm.shape}"
+        )
+    n_states = bm.shape[2]
+    src = np.ascontiguousarray(src, dtype=np.int64)
+    inb = np.ascontiguousarray(inb, dtype=np.int64)
+    if src.shape != (n_states, 2) or inb.shape != (n_states, 2):
+        raise ValueError(
+            f"src/inb must be ({n_states}, 2) arrival tables, "
+            f"got {src.shape} and {inb.shape}"
+        )
+    return bm, src, inb
+
+
 def _check_multi_args(
     received: np.ndarray, sigma2s: np.ndarray
 ) -> tuple[np.ndarray, int, int, np.ndarray]:
@@ -378,70 +399,74 @@ class NumpyBackend:
         inb: np.ndarray,
         *,
         key: str = "viterbi",
-    ) -> tuple[np.ndarray, float]:
-        """Terminated-trellis Viterbi ACS + traceback over branch metrics.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Terminated-trellis Viterbi ACS + traceback over ``R`` rows at once.
 
-        ``branch_metrics[t, s, b]`` is the (finite) metric of leaving state
-        ``s`` with input bit ``b`` at step ``t``; ``src``/``inb`` are the
-        destination-grouped ``(n_states, 2)`` arrival tables
+        ``branch_metrics[r, t, s, b]`` is row ``r``'s (finite) metric of
+        leaving state ``s`` with input bit ``b`` at step ``t``;
+        ``src``/``inb`` are the destination-grouped ``(n_states, 2)``
+        arrival tables
         (:meth:`repro.ecc.convolutional.ConvolutionalCode.trellis_tables`).
-        Starts and ends in state 0; the input bit that led into a state is
-        its LSB, so traceback only needs predecessor states.  Returns
-        ``(bits, path_metric)`` — the full decoded path as int8 ``(T,)``
-        (termination tail included; callers slice it off) and the winning
-        terminated metric.
+        Every row starts and ends in state 0; the input bit that led into a
+        state is its LSB, so traceback only needs predecessor states.
+        Returns ``(bits, path_metrics)`` — the full decoded paths as int8
+        ``(R, T)`` (termination tail included; callers slice it off) and
+        the winning terminated metrics as float64 ``(R,)``.
 
-        Bit-identical to ``ConvolutionalCode._viterbi`` on both NumPy
-        tiers: the ACS intermediates are pinned to float64 scratch (the
-        float32 tier inherits the method unchanged), each arrival is the
-        same single IEEE add, and ties select arrival 0 exactly like the
-        reference's first-wins ``argmax``.  Everything but the returned bit
-        vector lives in ``key``-namespaced workspace scratch.
+        Each trellis step is one ``(R, S, 2)`` arrivals tensor: every
+        arrival is the same single IEEE add as the scalar recursion, and
+        arrival 1 wins only on a strict ``>`` (first-wins ties), so a row's
+        result is exactly its solo decode and never depends on which rows
+        share the launch.  The ACS intermediates are pinned to float64 (the
+        float32 tier inherits the method unchanged) and live in
+        ``key``-namespaced workspace scratch, including the one ``(T, R, S)``
+        int64 predecessor table the batched traceback walks.
         """
-        bm = np.ascontiguousarray(np.asarray(branch_metrics, dtype=np.float64))
-        if bm.ndim != 3 or bm.shape[2] != 2:
-            raise ValueError(
-                f"branch_metrics must be (n_steps, n_states, 2), got {bm.shape}"
-            )
-        n_steps, n_states = bm.shape[0], bm.shape[1]
-        src = np.asarray(src, dtype=np.int64)
-        inb = np.asarray(inb, dtype=np.int64)
-        if src.shape != (n_states, 2) or inb.shape != (n_states, 2):
-            raise ValueError(
-                f"src/inb must be ({n_states}, 2) arrival tables, "
-                f"got {src.shape} and {inb.shape}"
-            )
-        metric = self.scratch(key + "_m0", (n_states,), dtype=np.float64)
-        nxt = self.scratch(key + "_m1", (n_states,), dtype=np.float64)
-        arr = self.scratch(key + "_arr", (n_states, 2), dtype=np.float64)
-        gat = self.scratch(key + "_gat", (n_states, 2), dtype=np.float64)
-        win = self.scratch(key + "_win", (n_states,), dtype=np.bool_)
-        prev = self.scratch(key + "_prev", (n_steps, n_states), dtype=np.int64)
+        bm, src, inb = _check_viterbi_args(branch_metrics, src, inb)
+        n_rows, n_steps, n_states = bm.shape[:3]
+        # arrival-ordered branch metrics, gathered once for the whole block:
+        # gat[r, t, ns, i] = bm[r, t, src[ns, i], inb[ns, i]]
         flat = self.scratch(key + "_flat", (n_states, 2), dtype=np.int64)
-        # flattened (state, bit) gather index into one step's (S, 2) page
         np.multiply(src, 2, out=flat)
         np.add(flat, inb, out=flat)
+        gat = self.scratch(key + "_gat", bm.shape, dtype=np.float64)
+        np.take(bm.reshape(n_rows, n_steps, 2 * n_states), flat, axis=2, out=gat)
+        # flat gather indices: the (R, S, 2) arrival sources in the (R, S)
+        # metric page, and arrival 0 of each destination in the arrivals
+        rows = np.arange(n_rows, dtype=np.int64)[:, None]
+        src_at = self.scratch(key + "_src_at", (n_rows, n_states, 2), dtype=np.int64)
+        np.add(rows[:, :, None] * n_states, src, out=src_at)
+        arr0_at = rows * (2 * n_states) + 2 * np.arange(n_states, dtype=np.int64)
+        metric = self.scratch(key + "_metric", (n_rows, n_states), dtype=np.float64)
+        arr = self.scratch(key + "_arr", (n_rows, n_states, 2), dtype=np.float64)
+        win = self.scratch(key + "_win", (n_steps, n_rows, n_states), dtype=np.bool_)
+        pick = self.scratch(key + "_pick", (n_rows, n_states), dtype=np.int64)
         metric.fill(-np.inf)
-        metric[0] = 0.0
-        src0, src1 = src[:, 0], src[:, 1]
-        bm_flat = bm.reshape(n_steps, -1)
+        metric[:, 0] = 0.0
+        m_flat, a_flat = metric.reshape(-1), arr.reshape(-1)
+        a0, a1 = arr[..., 0], arr[..., 1]
+        # ndarray.take(mode="clip") skips np.take's wrapper and bounds
+        # buffering; every index here is in range by construction
         for t in range(n_steps):
-            np.take(metric, src, out=arr)
-            np.take(bm_flat[t], flat, out=gat)
-            np.add(arr, gat, out=arr)                 # arrivals (S, 2)
-            # first-wins argmax: arrival 1 only on a strict improvement
-            np.greater(arr[:, 1], arr[:, 0], out=win)
-            np.copyto(nxt, arr[:, 0])
-            np.copyto(nxt, arr[:, 1], where=win)
-            np.copyto(prev[t], src0)
-            np.copyto(prev[t], src1, where=win)
-            metric, nxt = nxt, metric
-        state = 0
-        bits = np.empty(n_steps, dtype=np.int8)
-        for t in range(n_steps - 1, -1, -1):
-            bits[t] = state & 1
-            state = int(prev[t, state])
-        return bits, float(metric[0])
+            m_flat.take(src_at, out=arr, mode="clip")
+            np.add(arr, gat[:, t], out=arr)           # arrivals (R, S, 2)
+            np.greater(a1, a0, out=win[t])            # first-wins: strict >
+            np.add(arr0_at, win[t], out=pick)
+            a_flat.take(pick, out=metric, mode="clip")
+        # predecessors as flat indices into one step's (R, S) page, so the
+        # traceback is a single gather per step over every row at once
+        prev = self.scratch(key + "_prev", (n_steps, n_rows, n_states), dtype=np.int64)
+        np.multiply(win, src[:, 1] - src[:, 0], out=prev)
+        np.add(prev, src_at[..., 0], out=prev)
+        path = self.scratch(key + "_path", (n_steps, n_rows), dtype=np.int64)
+        path[-1] = rows[:, 0] * n_states              # every row ends in state 0
+        for t in range(n_steps - 1, 0, -1):
+            prev[t].reshape(-1).take(path[t], out=path[t - 1], mode="clip")
+        # row offsets are multiples of n_states (even), so the LSB of a flat
+        # index is the LSB of its state: the input bit that led into it
+        bits = np.empty((n_rows, n_steps), dtype=np.int8)
+        np.bitwise_and(path.T, 1, out=bits, casting="unsafe")
+        return bits, metric[:, 0].copy()
 
     # -- dense-algebra kernels ----------------------------------------------
     def linear(

@@ -13,9 +13,9 @@ package provides the outer code machinery:
 
 The convolutional code + CRC + interleaver trio is also the substrate of
 the serving stack's coded-traffic path
-(:mod:`repro.serving.coding`): the soft Viterbi ACS there runs through the
-``viterbi_decode`` backend kernel, bit-identical to
-:meth:`ConvolutionalCode.decode_soft`'s pure-NumPy reference.
+(:mod:`repro.serving.coding`): the soft Viterbi ACS there is one
+row-batched ``viterbi_decode`` backend kernel launch per coded group — the
+same kernel :meth:`ConvolutionalCode.decode_soft` calls for one block.
 
 ``from repro.ecc import *`` is a supported, stable surface: ``__all__``
 below is the package's public API, tiered by code family.

@@ -12,12 +12,13 @@ LLR convention matches :mod:`repro.modulation.demapper`: ``llr > 0`` ⇒ bit 1,
 so the correlation metric for a branch emitting coded bits ``c ∈ {0,1}ⁿ``
 is ``Σ_j c_j · llr_j`` (the constant term is path-independent).
 
-The add-compare-select inner loop has two homes: :meth:`ConvolutionalCode.
-_viterbi` is the pure-NumPy reference (a Python loop over trellis steps),
-and ``backend.viterbi_decode`` (:mod:`repro.backend`) is the kernel form
-the serving engine dispatches — same IEEE operations per state, so
-``decode_soft(llrs, backend=...)`` is bit-identical to the reference on
-every tier (pinned by ``tests/backend/test_backend_parity.py``).
+The add-compare-select loop has one home per backend tier: the
+row-batched ``backend.viterbi_decode`` kernel (:mod:`repro.backend`).
+:meth:`ConvolutionalCode.decode_soft` is its one-row call and the serving
+engine's :func:`repro.backend.dispatch.grouped_viterbi_decode` its
+many-row call, so a block decodes to the same bits and path metric either
+way (pinned against a scalar reference ACS by
+``tests/backend/test_backend_parity.py``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.backend.dispatch import grouped_viterbi_decode
 
 __all__ = ["ConvolutionalCode", "ViterbiResult"]
 
@@ -84,10 +87,8 @@ class ConvolutionalCode:
                     parity ^= t & 1
                     t >>= 1
                 self._outputs[:, b, j] = parity.astype(np.int8)
-        # trellis tables are derived lazily (and cached) — batch decoders
-        # fetch them once per launch instead of re-sorting per block
-        self._trellis: tuple[np.ndarray, np.ndarray] | None = None
-        self._outputs_f64: np.ndarray | None = None
+        # the decoder's trellis tables are derived lazily and cached
+        self._trellis: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- encode -----------------------------------------------------------------
     @property
@@ -116,72 +117,31 @@ class ConvolutionalCode:
         return out.ravel()
 
     # -- decode -----------------------------------------------------------------
-    def _transition_tables(self):
-        """Transitions grouped by destination: for every next state exactly
-        two (source state, input bit) arrivals.  Returns ``(src, inb)`` of
-        shape ``(n_states, 2)`` such that
-        ``next_state[src[ns, i], inb[ns, i]] == ns``.  Cached: the tables
-        depend only on the (immutable) generator set, and batch decoders
-        share them across every block of a launch."""
+    def trellis_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kernel decoder's view of the trellis: ``(src, inb, outputs)``.
+
+        ``src``/``inb`` group the transitions by destination: for every next
+        state exactly two (source state, input bit) arrivals, as int64
+        ``(n_states, 2)`` tables with ``next_state[src[ns, i], inb[ns, i]]
+        == ns``.  ``outputs`` is the per-(state, input) coded-bit table as
+        float64 ``(n_states, 2, n_out)`` — the operand LLRs are contracted
+        against.  All three depend only on the (immutable) generator set,
+        are built once and must be treated as read-only
+        (:func:`repro.backend.dispatch.grouped_viterbi_decode` hands them to
+        the kernel verbatim, so sessions sharing a code share one table set).
+        """
         if self._trellis is None:
             states = np.arange(self.n_states)
             src_all = np.repeat(states, 2)
             inb_all = np.tile(np.array([0, 1]), self.n_states)
             dst_all = self._next_state[src_all, inb_all]
             order = np.argsort(dst_all, kind="stable")
-            src = src_all[order].reshape(self.n_states, 2)
-            inb = inb_all[order].reshape(self.n_states, 2)
             self._trellis = (
-                np.ascontiguousarray(src, dtype=np.int64),
-                np.ascontiguousarray(inb, dtype=np.int64),
+                np.ascontiguousarray(src_all[order].reshape(self.n_states, 2), dtype=np.int64),
+                np.ascontiguousarray(inb_all[order].reshape(self.n_states, 2), dtype=np.int64),
+                self._outputs.astype(np.float64),
             )
         return self._trellis
-
-    def trellis_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The kernel decoder's view of the trellis: ``(src, inb, outputs)``.
-
-        ``src``/``inb`` are the destination-grouped ``(n_states, 2)`` int64
-        arrival tables of :meth:`_transition_tables`; ``outputs`` is the
-        per-(state, input) coded-bit table as float64 ``(n_states, 2, n_out)``
-        — the operand ``decode_soft`` contracts LLRs against.  All three are
-        cached and must be treated as read-only (``backend.viterbi_decode``
-        and :func:`repro.backend.dispatch.grouped_viterbi_decode` take them
-        verbatim, so sessions sharing a code share one table set).
-        """
-        src, inb = self._transition_tables()
-        if self._outputs_f64 is None:
-            self._outputs_f64 = self._outputs.astype(np.float64)
-        return src, inb, self._outputs_f64
-
-    def _viterbi(self, branch_metrics: np.ndarray) -> ViterbiResult:
-        """Max-metric Viterbi over per-step branch metrics.
-
-        ``branch_metrics[t, s, b]`` is the metric of leaving state ``s``
-        with input ``b`` at step ``t``.  Starts and ends in state 0
-        (terminated blocks).  Note the trellis structure gives input bit =
-        LSB of the destination state, so only predecessor states need to be
-        stored for traceback.
-        """
-        n_steps = branch_metrics.shape[0]
-        src, inb = self._transition_tables()
-        metric = np.full(self.n_states, -np.inf)
-        metric[0] = 0.0
-        prev_state = np.empty((n_steps, self.n_states), dtype=np.int64)
-        for t in range(n_steps):
-            arrivals = metric[src] + branch_metrics[t][src, inb]  # (S, 2)
-            winner = np.argmax(arrivals, axis=1)
-            metric = arrivals[np.arange(self.n_states), winner]
-            prev_state[t] = src[np.arange(self.n_states), winner]
-
-        # traceback from state 0 (terminated)
-        state = 0
-        bits = np.empty(n_steps, dtype=np.int8)
-        for t in range(n_steps - 1, -1, -1):
-            bits[t] = state & 1  # input bit that led INTO `state`
-            state = prev_state[t, state]
-        info = bits[: n_steps - (self.k - 1)]
-        final = metric[0]
-        return ViterbiResult(data=info, path_metric=float(final))
 
     def decode_hard(self, coded: np.ndarray) -> ViterbiResult:
         """Hard-decision Viterbi (maximise bit agreements)."""
@@ -195,11 +155,9 @@ class ConvolutionalCode:
     def decode_soft(self, llrs: np.ndarray, *, backend=None) -> ViterbiResult:
         """Soft-decision Viterbi from LLRs (llr > 0 ⇒ coded bit 1).
 
-        ``backend=None`` runs the pure-NumPy reference ACS
-        (:meth:`_viterbi`); passing a :mod:`repro.backend` instance routes
-        the inner loop through its ``viterbi_decode`` kernel instead —
-        bit-identical decoded bits and path metric on every tier (the
-        backend-parity contract), just faster.
+        The one-row call of the batched ``viterbi_decode`` kernel on
+        ``backend`` (default: the process-wide one); every tier decodes to
+        the same bits and path metric (the backend-parity contract).
         """
         l = np.asarray(llrs, dtype=np.float64)
         if l.ndim != 1 and not (l.ndim == 2 and l.shape[1] == self.n_out):
@@ -208,13 +166,7 @@ class ConvolutionalCode:
             if l.size % self.n_out != 0:
                 raise ValueError(f"LLR length {l.size} not a multiple of {self.n_out}")
             l = l.reshape(-1, self.n_out)
-        n_steps = l.shape[0]
-        # branch metric: Σ_j out_bit * llr_j  (out_bits precomputed per (s,b))
-        src, inb, out = self.trellis_tables()
-        bm = np.einsum("tj,sbj->tsb", l, out)
-        if backend is None:
-            return self._viterbi(bm)
-        bits, path_metric = backend.viterbi_decode(bm, src, inb)
+        bits, path_metrics = grouped_viterbi_decode(self, l[None], backend=backend)
         return ViterbiResult(
-            data=bits[: n_steps - (self.k - 1)], path_metric=path_metric
+            data=bits[0, : l.shape[0] - (self.k - 1)], path_metric=float(path_metrics[0])
         )

@@ -19,11 +19,15 @@ extraction built on it:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.extraction.decision_regions import DecisionRegionGrid
 from repro.extraction.voronoi import boundary_midpoints
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["region_adjacency_graph", "labeling_consistency", "region_connectedness"]
 
@@ -36,6 +40,8 @@ def region_adjacency_graph(grid: DecisionRegionGrid) -> nx.Graph:
     regions that share at least one boundary sample, weighted by the number
     of boundary samples (``weight``), a proxy for shared-boundary length.
     """
+    import networkx as nx  # deferred: keeps networkx out of `import repro`
+
     g = nx.Graph()
     labels = grid.present_labels
     pts = grid.points()
@@ -87,6 +93,8 @@ def region_connectedness(grid: DecisionRegionGrid) -> float:
     Uses 4-connectivity on the sample grid (flood fill via networkx on the
     pixel graph restricted to each label).
     """
+    import networkx as nx
+
     labels = grid.labels
     res = labels.shape[0]
     present = grid.present_labels

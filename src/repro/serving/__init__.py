@@ -84,12 +84,13 @@ Coded traffic (CRC-triggered adaptation, per-session FER telemetry)::
     engine.session("s000").stats.frame_error_rate   # post-FEC FER
 
 The engine routes each coded frame's payload LLRs through deinterleave →
-soft Viterbi (the ``viterbi_decode`` backend kernel, batched per code) →
-CRC check.  A window of CRC failures fires the adaptation ladder exactly
-like pilot-BER degradation — payload-aware triggering — and a failed CRC
-marks the frame *served-with-decode-failure* (still the served leg of the
-conservation ledger, never silently dropped), with ``frame.decoded`` /
-``frame.crc_fail`` trace events and FER / post-FEC-BER telemetry.
+soft Viterbi (the ``viterbi_decode`` backend kernel, one row-batched launch
+per code) → CRC check.  A window of CRC failures fires the adaptation
+ladder exactly like pilot-BER degradation — payload-aware triggering — and
+a failed CRC marks the frame *served-with-decode-failure* (still the served
+leg of the conservation ledger, never silently dropped), with
+``frame.decoded`` / ``frame.crc_fail`` trace events and FER / post-FEC-BER
+telemetry.
 
 ``from repro.serving import *`` is a supported, stable surface: ``__all__``
 below is the package's public API, tiered by subsystem.

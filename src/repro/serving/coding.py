@@ -212,11 +212,11 @@ class CodedLayout:
         """Batched :meth:`decode` over an ``(R, n_payload_bits)`` LLR stack.
 
         The serving engine's entry point: rows are frames of sessions that
-        share this layout, so one launch shares the trellis tables and the
-        workspace branch-metric tensor (see
-        :func:`repro.backend.dispatch.grouped_viterbi_decode`).  Row-pure:
-        each row's ``(info, crc_ok, path_metric)`` is bit-identical to a
-        solo :meth:`decode` on that row.
+        share this layout, so the whole stack is decoded by one
+        :func:`repro.backend.dispatch.grouped_viterbi_decode` call — one
+        branch-metric einsum and one row-batched ACS kernel launch.
+        Row-pure: each row's ``(info, crc_ok, path_metric)`` is
+        bit-identical to a solo :meth:`decode` on that row.
         """
         rows = np.asarray(llr_rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.n_payload_bits:
@@ -228,12 +228,13 @@ class CodedLayout:
             # block-wise permutation: operates on each coded_len row alike
             blocks = self.interleaver.deinterleave(blocks)
         blocks = blocks.reshape(rows.shape[0], self.n_steps, self.code.n_out)
-        decoded = grouped_viterbi_decode(self.code, blocks, backend=backend, key=key)
-        tail = self.code.k - 1
+        bits, path_metrics = grouped_viterbi_decode(
+            self.code, blocks, backend=backend, key=key
+        )
         results: list[tuple[np.ndarray, bool, float]] = []
-        for bits, path_metric in decoded:
-            info, crc_ok = self._frame_bits(bits[: self.n_steps - tail])
-            results.append((info, crc_ok, float(path_metric)))
+        for row, path_metric in zip(bits, path_metrics.tolist()):
+            info, crc_ok = self._frame_bits(row)
+            results.append((info, crc_ok, path_metric))
         return results
 
 

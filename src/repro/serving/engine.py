@@ -663,6 +663,7 @@ class ServingEngine:
             if session.config.coded is not None and row_ok[row]:
                 plen = (n - int(pilot_syms[row])) * k
                 coded_groups.setdefault((session.config.coded, plen), []).append(row)
+        t_dec = perf_counter()
         for gi, ((coded_cfg, plen), rows_) in enumerate(coded_groups.items()):
             layout = coded_layout(coded_cfg, plen)
             buf = be.workspace.scratch(
@@ -675,6 +676,10 @@ class ServingEngine:
             results = layout.decode_rows(buf, backend=be, key=f"{key}_vit{gi}")
             for i, row in enumerate(rows_):
                 decoded[row] = results[i]
+        t_dec = perf_counter() - t_dec
+        if self.profiler is not None and coded_groups:
+            # the decode is its own stage, carved out of control-plane below
+            self.profiler.account("decode", t_dec)
         served_frames = s_count
         served_symbols = batch.n_symbols
         for row, (session, frame) in enumerate(zip(batch.sessions, batch.frames)):
@@ -762,7 +767,7 @@ class ServingEngine:
             if self.on_frame is not None:
                 self.on_frame(session, frame, llrs3[row], report)
         if self.profiler is not None:
-            self.profiler.account("control-plane", perf_counter() - t_cp)
+            self.profiler.account("control-plane", perf_counter() - t_cp - t_dec)
         if tracer is not None:
             tracer.emit(
                 "phase.control-plane",
@@ -1087,7 +1092,7 @@ class ServingEngine:
             served += len(pulls)
             wave += 1
         self._finish_drains()
-        with self._phase("control-plane"):
+        with self._phase("weight-control"):
             if self.weight_controller is not None:
                 self.weight_controller.on_round(self.sessions, now=self.telemetry.now)
         self.telemetry.rounds += 1

@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 
+from repro.serving.observability.profiling import ENGINE_PHASES
 from repro.serving.telemetry import SCHEMA_VERSION
 
 __all__ = ["export_run", "render_dashboard", "main"]
@@ -139,7 +140,9 @@ def _phases_section(run: dict) -> list[str]:
     profile = run.get("profile")
     if profile and profile.get("phases"):
         lines.append(f"{'phase':<18} {'calls':>8} {'total':>12} {'mean':>12}")
-        for name in sorted(profile["phases"]):
+        # round order first, then any phase the engine does not emit itself
+        order = {name: i for i, name in enumerate(ENGINE_PHASES)}
+        for name in sorted(profile["phases"], key=lambda p: (order.get(p, len(order)), p)):
             st = profile["phases"][name]
             lines.append(
                 f"{name:<18} {st['count']:>8} {_fmt_ms(st['total_s']):>12} "

@@ -6,9 +6,14 @@ answers the one question that clock cannot: *where does the wall time go?*
 Attached via ``ServingEngine(profiler=...)`` it accumulates
 ``perf_counter`` timings per round phase (``absorb-outcomes`` /
 ``schedule`` / ``coalesce`` / ``demap-launch`` / ``control-plane`` /
-``retrain-submit``) and per-batch kernel-launch timings keyed by launch
-width — the data that says whether coalescing is amortizing launch
-overhead or the control plane is eating the round.
+``decode`` / ``retrain-submit`` / ``weight-control``) and per-batch
+kernel-launch timings keyed by launch width — the data that says whether
+coalescing is amortizing launch overhead, the FEC decode or the per-frame
+control plane is eating the round.  Each name is recorded in one place:
+``control-plane`` is a batch's post-demap work (retrain submits included)
+minus its coded ``decode`` stage, which only batches carrying coded rows
+record, and ``weight-control`` is the once-per-round SLO weight
+controller.
 
 Observe-only and off by default: the engine consults nothing here, wall
 timings never reach the deterministic state, and with no profiler attached
@@ -33,7 +38,9 @@ ENGINE_PHASES = (
     "coalesce",
     "demap-launch",
     "control-plane",
+    "decode",
     "retrain-submit",
+    "weight-control",
 )
 
 

@@ -8,7 +8,6 @@ convention (Eb/N0 — see DESIGN.md §1).
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "q_function",
@@ -20,6 +19,8 @@ __all__ = [
 
 def q_function(x: float | np.ndarray) -> float | np.ndarray:
     """Gaussian tail probability ``Q(x) = P(N(0,1) > x)``."""
+    from scipy import special  # deferred: keeps scipy out of `import repro`
+
     return 0.5 * special.erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
@@ -28,6 +29,8 @@ def q_function_inv(p: float | np.ndarray) -> float | np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if np.any((p <= 0) | (p >= 1)):
         raise ValueError("p must lie strictly inside (0, 1)")
+    from scipy import special
+
     return np.sqrt(2.0) * special.erfcinv(2.0 * p)
 
 

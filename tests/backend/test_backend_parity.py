@@ -7,6 +7,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from repro.backend import (
@@ -20,6 +21,8 @@ from repro.backend import (
     set_backend,
     use_backend,
 )
+from repro.backend.dispatch import grouped_viterbi_decode
+from repro.ecc.convolutional import ConvolutionalCode
 from repro.link import AWGNFactory, simulate_ber, sweep_snr
 from repro.modulation import (
     ExactLogMAPDemapper,
@@ -476,21 +479,40 @@ class TestParallelSimulator:
 
 # -- viterbi_decode kernel (the serving coded path's ACS) ---------------------
 def _viterbi_fixture(code, n_blocks=6, n_info=64, seed=77):
-    """Random LLR blocks plus their reference decodes for one code."""
+    """Random LLR blocks for one code."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    for _ in range(n_blocks):
-        llrs = rng.normal(size=(n_info + code.k - 1, code.n_out)) * 4.0
-        blocks.append((llrs, code.decode_soft(llrs)))
-    return blocks
+    return [
+        rng.normal(size=(n_info + code.k - 1, code.n_out)) * 4.0
+        for _ in range(n_blocks)
+    ]
+
+
+@st.composite
+def _viterbi_batches(draw):
+    """A random feed-forward code plus an ``(R, T, n_out)`` LLR stack.
+
+    LLRs mix Gaussian values with small integers and signed zeros, so
+    exact arrival ties (the first-wins tie-break) are common.
+    """
+    k = draw(st.integers(2, 8))
+    n_out = draw(st.integers(2, 3))
+    gens = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=n_out, max_size=n_out))
+    code = ConvolutionalCode(tuple(gens), k)
+    r = draw(st.integers(1, 8))
+    t = draw(st.integers(k, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    llrs = rng.normal(size=(r, t, n_out)) * 3.0
+    ties = rng.random(llrs.shape) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    llrs[ties] = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=int(ties.sum()))
+    return code, llrs
 
 
 class TestViterbiParity:
-    """``backend.viterbi_decode`` is bit-identical to the pure-python
-    reference ACS (``ConvolutionalCode._viterbi``) — decoded bits AND path
-    metric, on every tier.  This is the contract that lets the serving
-    engine dispatch the coded path through the kernel without entering the
-    determinism suite's blast radius."""
+    """Every tier's ``viterbi_decode`` is bit-identical to the scalar
+    reference ACS (the ``viterbi_reference`` oracle) — decoded bits AND
+    path metric, row by row, however rows are batched.  This is the
+    contract that lets the serving engine dispatch the coded path through
+    the kernel without entering the determinism suite's blast radius."""
 
     CODES = [
         ((0b111, 0b101), 3),            # classic K=3 (7,5)
@@ -500,20 +522,17 @@ class TestViterbiParity:
 
     @pytest.mark.parametrize("tier", ["numpy", "numpy32"])
     @pytest.mark.parametrize("generators,K", CODES)
-    def test_bit_identical_to_reference(self, tier, generators, K):
-        from repro.ecc.convolutional import ConvolutionalCode
-
+    def test_bit_identical_to_reference(self, tier, generators, K, viterbi_reference):
         code = ConvolutionalCode(generators, K)
         be = backend_from_name(tier)
-        for llrs, ref in _viterbi_fixture(code):
+        for llrs in _viterbi_fixture(code):
+            ref_bits, ref_metric = viterbi_reference(code, llrs)
             got = code.decode_soft(llrs, backend=be)
-            assert np.array_equal(got.data, ref.data)
-            assert got.path_metric == ref.path_metric
+            assert np.array_equal(got.data, ref_bits)
+            assert got.path_metric == ref_metric
 
     @pytest.mark.parametrize("tier", ["numpy", "numpy32"])
     def test_noiseless_roundtrip_exact(self, tier):
-        from repro.ecc.convolutional import ConvolutionalCode
-
         code = ConvolutionalCode((0b111, 0b101), 3)
         be = backend_from_name(tier)
         rng = np.random.default_rng(3)
@@ -522,39 +541,73 @@ class TestViterbiParity:
         res = code.decode_soft(pseudo.reshape(-1, 2), backend=be)
         assert np.array_equal(res.data, data)
 
-    def test_grouped_dispatch_matches_solo(self, qam16):
-        """grouped_viterbi_decode rows == solo decode_soft per block."""
-        from repro.backend.dispatch import grouped_viterbi_decode
-        from repro.ecc.convolutional import ConvolutionalCode
-
+    def test_grouped_dispatch_matches_solo(self, viterbi_reference):
+        """grouped_viterbi_decode rows == the oracle on each block alone."""
         code = ConvolutionalCode((0b111, 0b101), 3)
-        fixture = _viterbi_fixture(code, n_blocks=5)
-        stack = np.stack([llrs for llrs, _ in fixture])
-        be = backend_from_name("numpy")
-        results = grouped_viterbi_decode(code, stack, backend=be)
+        stack = np.stack(_viterbi_fixture(code, n_blocks=5))
+        bits, metrics = grouped_viterbi_decode(code, stack, backend=backend_from_name("numpy"))
+        assert bits.shape == stack.shape[:2] and bits.dtype == np.int8
+        assert metrics.shape == (5,)
         tail = code.k - 1
-        for (bits, metric), (_, ref) in zip(results, fixture):
-            assert np.array_equal(bits[: bits.size - tail], ref.data)
-            assert metric == ref.path_metric
+        for row, llrs in enumerate(stack):
+            ref_bits, ref_metric = viterbi_reference(code, llrs)
+            assert np.array_equal(bits[row, : bits.shape[1] - tail], ref_bits)
+            assert metrics[row] == ref_metric
 
     def test_branch_metric_shape_validated(self):
         be = backend_from_name("numpy")
         src = np.zeros((4, 2), dtype=np.int64)
         with pytest.raises(ValueError):
-            be.viterbi_decode(np.zeros((5, 4, 3)), src, src)
+            be.viterbi_decode(np.zeros((1, 5, 4, 3)), src, src)
         with pytest.raises(ValueError):
-            be.viterbi_decode(np.zeros((5, 4, 2)), np.zeros((3, 2), np.int64), src)
+            be.viterbi_decode(np.zeros((5, 4, 2)), src, src)
+        with pytest.raises(ValueError):
+            be.viterbi_decode(np.zeros((1, 5, 4, 2)), np.zeros((3, 2), np.int64), src)
+
+    @pytest.mark.parametrize("tier", ["numpy", "numpy32"])
+    @given(batch=_viterbi_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_every_row_matches_reference(self, tier, batch, viterbi_reference):
+        """Random codes (K in [2, 8]), batch widths and tie-heavy LLRs:
+        each row of one batched launch equals the oracle on that row."""
+        code, llrs = batch
+        bits, metrics = grouped_viterbi_decode(code, llrs, backend=backend_from_name(tier))
+        n_info = llrs.shape[1] - (code.k - 1)
+        for row in range(llrs.shape[0]):
+            ref_bits, ref_metric = viterbi_reference(code, llrs[row])
+            assert np.array_equal(bits[row, :n_info], ref_bits)
+            assert metrics[row] == ref_metric
+
+    @given(batch=_viterbi_batches(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_row_permutation_permutes_outputs(self, batch, seed):
+        """A row's result never depends on which rows share its launch."""
+        code, llrs = batch
+        perm = np.random.default_rng(seed).permutation(llrs.shape[0])
+        be = backend_from_name("numpy")
+        bits, metrics = grouped_viterbi_decode(code, llrs, backend=be)
+        p_bits, p_metrics = grouped_viterbi_decode(code, llrs[perm], backend=be)
+        assert np.array_equal(p_bits, bits[perm])
+        assert np.array_equal(p_metrics, metrics[perm])
 
 
 @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
 class TestNumbaViterbiParity:
     @pytest.mark.parametrize("generators,K", TestViterbiParity.CODES)
-    def test_bit_identical_to_reference(self, generators, K):
-        from repro.ecc.convolutional import ConvolutionalCode
-
+    def test_bit_identical_to_reference(self, generators, K, viterbi_reference):
         code = ConvolutionalCode(generators, K)
         be = backend_from_name("numba")
-        for llrs, ref in _viterbi_fixture(code):
+        for llrs in _viterbi_fixture(code):
+            ref_bits, ref_metric = viterbi_reference(code, llrs)
             got = code.decode_soft(llrs, backend=be)
-            assert np.array_equal(got.data, ref.data)
-            assert got.path_metric == ref.path_metric
+            assert np.array_equal(got.data, ref_bits)
+            assert got.path_metric == ref_metric
+
+    @given(batch=_viterbi_batches())
+    @settings(max_examples=25, deadline=None)
+    def test_batched_rows_match_numpy_tier(self, batch):
+        code, llrs = batch
+        got = grouped_viterbi_decode(code, llrs, backend=backend_from_name("numba"))
+        want = grouped_viterbi_decode(code, llrs, backend=backend_from_name("numpy"))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])

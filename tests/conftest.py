@@ -34,3 +34,41 @@ def trained_system_8db() -> AESystem:
 def trained_constellation_8db(trained_system_8db: AESystem):
     """Frozen transmit constellation of the 8 dB system."""
     return trained_system_8db.mapper.constellation()
+
+
+def _viterbi_reference(code, llrs):
+    """Scalar terminated-trellis Viterbi — the parity oracle for every tier.
+
+    Branch metrics are the one-block reference contraction
+    ``Σ_j c_j·llr_j`` (the einsum every decode path shares); the ACS is a
+    plain forward recursion over the encoder's own next-state table, one
+    IEEE add per arrival, and on a tie the arrival from the lower source
+    state keeps the survivor (first-wins strict ``>``).  Returns
+    ``(info bits, path metric)`` with the termination tail removed.
+    """
+    llrs = np.asarray(llrs, dtype=np.float64).reshape(-1, code.n_out)
+    bms = np.einsum("tj,sbj->tsb", llrs, code._outputs.astype(np.float64)).tolist()
+    nxt = code._next_state.tolist()
+    metric = [0.0] + [float("-inf")] * (code.n_states - 1)
+    back = []
+    for bm in bms:
+        new, pred = [None] * code.n_states, [None] * code.n_states
+        for s in range(code.n_states):
+            for b in (0, 1):
+                cand, ns = metric[s] + bm[s][b], nxt[s][b]
+                if new[ns] is None or cand > new[ns]:
+                    new[ns], pred[ns] = cand, (s, b)
+        metric = new
+        back.append(pred)
+    bits, state = [], 0
+    for pred in reversed(back):
+        state, b = pred[state]
+        bits.append(b)
+    info = np.array(bits[::-1][: len(back) - (code.k - 1)], dtype=np.int8)
+    return info, metric[0]
+
+
+@pytest.fixture(scope="session")
+def viterbi_reference():
+    """The scalar reference ACS every ``viterbi_decode`` tier must match."""
+    return _viterbi_reference

@@ -9,6 +9,9 @@ deprecation shim), the curated ``from repro.serving import *`` surface,
 and the one ``SCHEMA_VERSION`` across every serving snapshot.
 """
 
+import os
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -254,6 +257,19 @@ class TestPackageSurface:
                      "run_fleet_load", "SCHEMA_VERSION"):
             assert name in pkg.__all__
             assert getattr(pkg, name) is not None
+
+    def test_import_leaves_scipy_and_networkx_unloaded(self):
+        """The serving path never calls scipy or networkx, so importing it
+        must not load them (together ~40 MB of a server's resident set)."""
+        probe = (
+            "import sys, repro.serving; "
+            "print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.link.frames import FrameConfig
 from repro.modulation import qam_constellation
 from repro.serving import (
     DEGRADED,
+    CodedFrameConfig,
     EngineConfig,
     MetricsRegistry,
     RetrainSupervisor,
@@ -538,8 +539,10 @@ class TestTracingPassivity:
             "round.begin", "round.end", "frame.submit", "frame.batched",
             "frame.served", "session.join", "retrain.install",
         } <= names
-        assert {f"phase.{p}" for p in ENGINE_PHASES if p != "control-plane"} <= names
-        assert "phase.control-plane" in names
+        # decode and weight-control are profiler-only stages (and this
+        # fleet is uncoded); every other phase is traced
+        traced = set(ENGINE_PHASES) - {"decode", "weight-control"}
+        assert {f"phase.{p}" for p in traced} <= names
         # backpressure shows up as reasoned rejects (queue_depth=4, 10 frames)
         rejects = [e for e in tracer.events if e.name == "frame.reject"]
         assert rejects and all(
@@ -554,11 +557,14 @@ class TestProfilerAndFaultEvents:
     def test_profiler_covers_all_phases_with_sane_counts(self, qam16):
         prof = RoundProfiler()
         _, _, engine = serve(qam16, max_batch=8, retrain_workers=0, profiler=prof)
-        assert set(ENGINE_PHASES) <= set(prof.phases)
+        # an uncoded fleet never enters the decode stage
+        assert set(prof.phases) == set(ENGINE_PHASES) - {"decode"}
         rounds = engine.telemetry.rounds
         assert prof.phases["schedule"].count == rounds
         assert prof.phases["absorb-outcomes"].count == rounds
+        assert prof.phases["weight-control"].count == rounds
         assert prof.phases["demap-launch"].count == engine.telemetry.batches
+        assert prof.phases["control-plane"].count == engine.telemetry.batches
         assert sum(s.count for s in prof.launches.values()) == engine.telemetry.batches
         for stat in prof.phases.values():
             snap = stat.snapshot()
@@ -573,6 +579,46 @@ class TestProfilerAndFaultEvents:
         )
         prof.clear()
         assert not prof.phases and not prof.launches
+
+    def test_coded_decode_is_its_own_stage(self, qam16):
+        """Coded batches record one ``decode`` per batch, outside
+        ``control-plane``, and profiling changes no decoded bit."""
+        coded = CodedFrameConfig()
+        fc = FrameConfig(pilot_symbols=16, payload_symbols=112)
+
+        def run(profiler):
+            seen = []
+            engine = ServingEngine(config=EngineConfig(
+                max_batch=4, profiler=profiler,
+                on_frame=lambda s, f, block, rep: seen.append(
+                    (s.session_id, f.seq, rep.crc_ok, rep.post_fec_ber)
+                ),
+            ))
+            sessions = build_fleet(
+                engine, 4, HybridDemapper(constellation=qam16, sigma2=SIGMA2),
+                monitor_factory=lambda: PilotBERMonitor(0.5, window=2),
+                config=SessionConfig(frame=fc, queue_depth=4, coded=coded), seed=5,
+            )
+            frames = generate_traffic(
+                qam16, fc, 3, SteadyChannel(AWGNFactory(8.0, 4)), 7, coded=coded
+            )
+            for s in sessions:
+                for f in frames:
+                    s.submit(f)
+            while engine.step():
+                pass
+            return engine, seen
+
+        prof = RoundProfiler()
+        engine, profiled = run(prof)
+        _, plain = run(None)
+        assert len(profiled) == 12 and profiled == plain
+        assert engine.telemetry.frames_decoded == 12
+        assert prof.phases["decode"].count == engine.telemetry.batches
+        assert prof.phases["control-plane"].count == engine.telemetry.batches
+        lines = render_dashboard(export_run(engine), sections=["phases"]).splitlines()
+        listed = [line.split()[0] for line in lines[2:]]
+        assert listed[: len(prof.phases)] == [p for p in ENGINE_PHASES if p in prof.phases]
 
     def test_empty_stage_snapshot_is_nan_safe(self):
         prof = RoundProfiler()
