@@ -35,21 +35,13 @@ from repro.modulation import (
 from repro.nn import Adam
 from repro.utils.complexmath import complex_to_real2
 
+from check_bench import ENV_BENCH_NAMES  # record names of skippable tiers
+
 N = 262_144  # symbols per timed call
 
 _ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_micro.json"
 _RESULTS: list[dict] = []
 
-#: Record names environment-conditional benchmarks may add (skipped tiers).
-#: The fleet pair needs >= 4 cores, so laptops/CI runners below that record
-#: neither entry and check_bench skips the fleet scaling gate.
-_ENV_BENCH_NAMES = frozenset(
-    {
-        "maxlog_llrs[numba]",
-        "serving_fleet[numpy]",
-        "serving_fleet_single[numpy]",
-    }
-)
 
 #: Every record name a full run produces on this machine-independent core
 #: set; environment-conditional benchmarks (skipped tiers) are excluded so
@@ -91,10 +83,10 @@ def _record(benchmark, name: str, *, symbols: int | None = None, extra: dict | N
 
     Tolerates ``--benchmark-disable`` runs (no stats collected).
     """
-    if name not in _CORE_BENCH_NAMES | _ENV_BENCH_NAMES:
+    if name not in _CORE_BENCH_NAMES | ENV_BENCH_NAMES:
         raise AssertionError(
             f"benchmark record name {name!r} is not registered in "
-            "_CORE_BENCH_NAMES/_ENV_BENCH_NAMES — update the set so "
+            "_CORE_BENCH_NAMES/ENV_BENCH_NAMES — update the set so "
             "full-run detection stays in sync"
         )
     if getattr(benchmark, "disabled", False) or benchmark.stats is None:
@@ -172,10 +164,10 @@ def _bench_micro_artifact():
 def _record_timed(name: str, times: list[float], *, symbols: int | None = None,
                   extra: dict | None = None) -> float:
     """Record a manually timed benchmark (same artifact schema); returns mean."""
-    if name not in _CORE_BENCH_NAMES | _ENV_BENCH_NAMES:
+    if name not in _CORE_BENCH_NAMES | ENV_BENCH_NAMES:
         raise AssertionError(
             f"benchmark record name {name!r} is not registered in "
-            "_CORE_BENCH_NAMES/_ENV_BENCH_NAMES — update the set so "
+            "_CORE_BENCH_NAMES/ENV_BENCH_NAMES — update the set so "
             "full-run detection stays in sync"
         )
     arr = np.asarray(times, dtype=np.float64)

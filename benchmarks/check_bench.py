@@ -67,7 +67,7 @@ RATIO_GATES = [
 ]
 
 #: Ratio invariants whose benchmarks are environment-conditional (skipped on
-#: machines that can't run them — see bench_micro._ENV_BENCH_NAMES).  When
+#: machines that can't run them — see ENV_BENCH_NAMES below).  When
 #: either side is absent from the fresh artifact the gate is *skipped*, not
 #: failed: a <4-core runner never records the fleet pair.
 ENV_RATIO_GATES = [
@@ -75,8 +75,8 @@ ENV_RATIO_GATES = [
 ]
 
 #: Benchmark names that only capable environments record; their absence from
-#: a fresh run is expected, never a regression.  Keep in sync with
-#: bench_micro._ENV_BENCH_NAMES.
+#: a fresh run is expected, never a regression.  bench_micro.py imports it
+#: to validate record names.
 ENV_BENCH_NAMES = frozenset(
     {
         "maxlog_llrs[numba]",

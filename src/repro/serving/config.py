@@ -7,15 +7,13 @@ front-end (:mod:`repro.serving.fleet`) replicates one config per shard —
 frozen dataclass makes "same config on every shard" a checkable property
 instead of a convention.
 
-The legacy keyword form (``ServingEngine(max_batch=..., ...)``) keeps
-working through a deprecation shim on the engine itself; this module is
-deliberately dependency-light (no engine import) so the config can be
-built, validated and compared without touching the runtime.
+This module is deliberately dependency-light (no engine import) so the
+config can be built, validated and compared without touching the runtime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable
 
 __all__ = ["EngineConfig"]
@@ -38,10 +36,49 @@ STATEFUL_FIELDS = (
 class EngineConfig:
     """Immutable construction-time configuration of a ``ServingEngine``.
 
-    Parameters mirror the engine's historical keywords one-for-one —
-    see :class:`~repro.serving.engine.ServingEngine` for the semantics of
-    each field.  Validation happens here (at config build time) so a bad
-    knob fails before any engine state exists.
+    Validation happens here (at config build time) so a bad knob fails
+    before any engine state exists.
+
+    Parameters
+    ----------
+    max_batch:
+        Maximum frames coalesced into one kernel launch.
+    retrain_workers:
+        Thread count of the background retrain worker (``0`` = run retrain
+        jobs inline on the engine thread — the determinism reference).
+    backend:
+        Compute backend instance (default: the process-wide selection).
+    scheduler:
+        Frame scheduler (default: a fresh
+        :class:`~repro.serving.scheduler.DeficitRoundRobin` with quantum
+        1.0 — one frame per weight-1 session per round).
+    weight_controller:
+        Optional :class:`~repro.serving.weights.WeightController` closing
+        the queue-wait-SLO → scheduler-weight loop (``None`` = static
+        weights).  Consulted once per round.
+    supervisor:
+        The :class:`~repro.serving.faults.RetrainSupervisor` deciding a
+        failed retrain job's fate: retry with exponential backoff (in
+        engine rounds), declare an over-deadline job hung, and after
+        ``max_failures`` open the circuit breaker — the session moves to
+        DEGRADED, keeps serving on its last-good demapper (the paper's
+        hybrid fallback) and stops escalating triggers.  Default: a fresh
+        supervisor with stock knobs (3 failures, backoff 1·2^n rounds, no
+        hung deadline).
+    on_frame:
+        Optional per-frame hook ``(session, frame, llrs, report)``; ``llrs``
+        is an engine-owned buffer valid only during the call (copy to keep).
+    tracer:
+        Optional :class:`~repro.serving.observability.Tracer` receiving the
+        frame-lifecycle / round-phase / fault event stream on the simulated
+        symbol clock.  Strictly observe-only: attaching one changes no
+        per-session output bit (the passivity contract pinned by
+        ``tests/serving/test_observability.py``).
+    profiler:
+        Optional :class:`~repro.serving.observability.RoundProfiler`
+        accumulating wall-clock per-phase and per-launch-width timings.
+        Observe-only like the tracer; with neither attached the hot path
+        pays only ``None`` checks.
     """
 
     max_batch: int = 64
@@ -67,13 +104,3 @@ class EngineConfig:
         shards — the shards would share one scheduler/supervisor/tracer.
         """
         return tuple(f for f in STATEFUL_FIELDS if getattr(self, f) is not None)
-
-    def build(self):
-        """Construct a :class:`~repro.serving.engine.ServingEngine`."""
-        from repro.serving.engine import ServingEngine
-
-        return ServingEngine(config=self)
-
-    def as_kwargs(self) -> dict[str, Any]:
-        """The config as a keyword dict (field order preserved)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -69,10 +69,8 @@ unrelated sessions join, drain or are hard-removed around it
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
 from time import perf_counter
-from typing import Callable
 
 import numpy as np
 
@@ -100,17 +98,12 @@ from repro.serving.session import (
     ServingFrame,
 )
 from repro.serving.telemetry import EngineStats, ServedFrame
-from repro.serving.weights import WeightController
 from repro.serving.worker import RetrainWorker
 
 __all__ = ["ServingEngine"]
 
 #: shared no-op context — the cost of profiling when no profiler is attached
 _NULL_CTX = nullcontext()
-
-#: sentinel distinguishing "keyword not passed" from an explicit None —
-#: ``backend=None`` etc. are meaningful legacy values
-_UNSET = object()
 
 
 class ServingEngine:
@@ -120,100 +113,20 @@ class ServingEngine:
 
         engine = ServingEngine(config=EngineConfig(max_batch=32))
 
-    The historical keyword form (``ServingEngine(max_batch=32, ...)``)
-    still works through a deprecation shim — the keywords are folded into
-    an :class:`~repro.serving.config.EngineConfig` with a single
-    ``DeprecationWarning`` — but mixing ``config=`` with legacy keywords
-    is an error.  The resolved config is kept as ``engine.config``.
+    ``config=None`` means ``EngineConfig()`` (every default); each knob is
+    documented on :class:`~repro.serving.config.EngineConfig`.  The
+    resolved config is kept as ``engine.config``.
 
-    Parameters
-    ----------
-    config:
-        The :class:`~repro.serving.config.EngineConfig` describing every
-        construction knob below.
-    max_batch:
-        Maximum frames coalesced into one kernel launch.
-    retrain_workers:
-        Thread count of the background retrain worker (``0`` = run retrain
-        jobs inline on the engine thread — the determinism reference).
-    backend:
-        Compute backend instance (default: the process-wide selection).
-    scheduler:
-        Frame scheduler (default: a fresh :class:`DeficitRoundRobin` with
-        quantum 1.0 — one frame per weight-1 session per round).
-    weight_controller:
-        Optional :class:`~repro.serving.weights.WeightController` closing
-        the queue-wait-SLO → scheduler-weight loop (``None`` = static
-        weights, the PR-4 behaviour).  Consulted once per round.
-    supervisor:
-        The :class:`~repro.serving.faults.RetrainSupervisor` deciding a
-        failed retrain job's fate: retry with exponential backoff (in
-        engine rounds), declare an over-deadline job hung, and after
-        ``max_failures`` open the circuit breaker — the session moves to
-        DEGRADED, keeps serving on its last-good demapper (the paper's
-        hybrid fallback) and stops escalating triggers.  Default: a fresh
-        supervisor with stock knobs (3 failures, backoff 1·2^n rounds, no
-        hung deadline).
-    on_frame:
-        Optional per-frame hook ``(session, frame, llrs, report)``; ``llrs``
-        is an engine-owned buffer valid only during the call (copy to keep).
-    tracer:
-        Optional :class:`~repro.serving.observability.Tracer` receiving the
-        frame-lifecycle / round-phase / fault event stream on the simulated
-        symbol clock.  Strictly observe-only: attaching one changes no
-        per-session output bit (the passivity contract pinned by
-        ``tests/serving/test_observability.py``).
-    profiler:
-        Optional :class:`~repro.serving.observability.RoundProfiler`
-        accumulating wall-clock per-phase and per-launch-width timings.
-        Observe-only like the tracer; with neither attached the hot path
-        pays only ``None`` checks.
+    Every engine event has one recording path: :meth:`_record` traces it
+    (the only ``Tracer.emit`` call site), :meth:`_record_failure` writes a
+    failure to the log, its counters and the trace, and
+    :meth:`_record_health` does the same for a health transition.  Only
+    the per-frame instants (``frame.submit`` / ``batched`` / ``decoded`` /
+    ``crc_fail`` / ``served``) call ``Tracer.emit_instant`` directly.
     """
 
-    def __init__(
-        self,
-        *,
-        config: EngineConfig | None = None,
-        max_batch: int = _UNSET,
-        retrain_workers: int = _UNSET,
-        backend: NumpyBackend | None = _UNSET,
-        scheduler: DeficitRoundRobin | None = _UNSET,
-        weight_controller: WeightController | None = _UNSET,
-        supervisor: RetrainSupervisor | None = _UNSET,
-        on_frame: Callable[[DemapperSession, ServingFrame, np.ndarray, ServedFrame], None]
-        | None = _UNSET,
-        tracer=_UNSET,
-        profiler=_UNSET,
-    ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("max_batch", max_batch),
-                ("retrain_workers", retrain_workers),
-                ("backend", backend),
-                ("scheduler", scheduler),
-                ("weight_controller", weight_controller),
-                ("supervisor", supervisor),
-                ("on_frame", on_frame),
-                ("tracer", tracer),
-                ("profiler", profiler),
-            )
-            if value is not _UNSET
-        }
-        if legacy and config is not None:
-            raise TypeError(
-                "pass either config=EngineConfig(...) or legacy keywords, "
-                f"not both (got config= and {sorted(legacy)})"
-            )
-        if legacy:
-            warnings.warn(
-                "ServingEngine(**kwargs) is deprecated; use "
-                "ServingEngine(config=EngineConfig(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = EngineConfig(**legacy)
-        elif config is None:
+    def __init__(self, *, config: EngineConfig | None = None):
+        if config is None:
             config = EngineConfig()
         #: the resolved (frozen) construction config
         self.config = config
@@ -244,17 +157,49 @@ class ServingEngine:
         """Context manager timing one phase (shared no-op when unprofiled)."""
         return _NULL_CTX if self.profiler is None else self.profiler.phase(name)
 
-    def _trace_failure(self, record) -> None:
-        """Mirror one :class:`FailureRecord` onto the trace (if tracing)."""
-        if self.tracer is not None:
-            self.tracer.emit(
-                f"fault.{record.kind}",
-                ts=self.telemetry.now,
-                round=self.telemetry.rounds,
-                session_id=record.session_id,
-                action=record.action,
-                failures=record.failures,
-            )
+    def _record(self, name: str, session_id: str | None = None, **args) -> None:
+        """Trace one engine event at the current symbol tick and round.
+
+        ``args`` may carry ``ph``/``dur``/``seq`` (``Tracer.emit``
+        parameters) besides the event payload.  A no-op when untraced.
+        """
+        if self.tracer is None:
+            return
+        self.tracer.emit(
+            name,
+            ts=self.telemetry.now,
+            round=self.telemetry.rounds,
+            session_id=session_id,
+            **args,
+        )
+
+    def _record_failure(self, record: FailureRecord) -> None:
+        """Log one failure: the failure log, its counters, ``fault.<kind>``.
+
+        Poison is a traffic fault, not a retrain failure, so only the other
+        kinds count toward ``retrain_failures`` (``hung`` also toward
+        ``retrains_hung``).
+        """
+        self.telemetry.failure_log.append(record)
+        if record.kind != "poison":
+            self.telemetry.retrain_failures += 1
+        if record.kind == "hung":
+            self.telemetry.retrains_hung += 1
+        self._record(
+            f"fault.{record.kind}",
+            record.session_id,
+            action=record.action,
+            failures=record.failures,
+        )
+
+    def _record_health(self, session_id: str, health: str) -> None:
+        """Log one session health transition (the session set it already)."""
+        self.telemetry.health_timeline.append((self.telemetry.now, session_id, health))
+        if health == DEGRADED:
+            self.telemetry.sessions_degraded += 1
+        elif health == QUARANTINED:
+            self.telemetry.sessions_quarantined += 1
+        self._record("session.health", session_id, health=health)
 
     def register_metrics(self, registry, *, labels: dict[str, str] | None = None):
         """Expose the engine's whole telemetry surface through ``registry``.
@@ -304,6 +249,12 @@ class ServingEngine:
         An id is unique among *live* sessions — a departed session's id may
         be reused by a later arrival.
         """
+        self._attach(session)
+        self._record("session.join", session.session_id, fleet=len(self._sessions))
+        return session
+
+    def _attach(self, session: DemapperSession) -> None:
+        """Registry admission shared by joins and migrations in."""
         if session.session_id in self._sessions:
             raise ValueError(f"duplicate session id {session.session_id!r}")
         if session.draining:
@@ -316,15 +267,6 @@ class ServingEngine:
         self.telemetry.record_fleet_size(len(self._sessions))
         if self.registry is not None:
             session.register_metrics(self.registry, labels=self._metric_labels)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "session.join",
-                ts=self.telemetry.now,
-                round=self.telemetry.rounds,
-                session_id=session.session_id,
-                fleet=len(self._sessions),
-            )
-        return session
 
     def remove_session(self, session_id: str, *, drain: bool = True) -> int:
         """Deregister a session; returns the number of frames dropped.
@@ -352,14 +294,7 @@ class ServingEngine:
             if not session.draining:
                 session.draining = True
                 self.telemetry.drains_started += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "session.drain",
-                        ts=self.telemetry.now,
-                        round=self.telemetry.rounds,
-                        session_id=session_id,
-                        pending=session.pending,
-                    )
+                self._record("session.drain", session_id, pending=session.pending)
                 self._finish_drains()
             return 0
         dropped = session.discard_queue()
@@ -368,32 +303,26 @@ class ServingEngine:
         return dropped
 
     def _remove_now(self, session: DemapperSession, *, dropped: int = 0) -> None:
-        """Registry/scheduler/worker teardown shared by both removal paths."""
-        del self._sessions[session.session_id]
-        self.scheduler.forget(session.session_id)
-        self.supervisor.forget(session.session_id)
-        if self.weight_controller is not None:
-            self.weight_controller.forget(session.session_id)
+        """Teardown shared by both removal paths: orphan jobs, drop frames."""
+        sid = session.session_id
+        self._detach(session)
         self.telemetry.retrains_orphaned += self.worker.discard(session)
-        self.telemetry.frames_dropped += dropped
+        if dropped:
+            self.telemetry.frames_dropped += dropped
+            self._record("frame.dropped", sid, count=dropped)
+        self._record("session.leave", sid, fleet=len(self._sessions))
+
+    def _detach(self, session: DemapperSession) -> None:
+        """Registry/scheduler/supervisor/controller teardown shared by
+        removals and migrations out."""
+        sid = session.session_id
+        del self._sessions[sid]
+        self.scheduler.forget(sid)
+        self.supervisor.forget(sid)
+        if self.weight_controller is not None:
+            self.weight_controller.forget(sid)
         self.telemetry.leaves += 1
         self.telemetry.record_fleet_size(len(self._sessions))
-        if self.tracer is not None:
-            if dropped:
-                self.tracer.emit(
-                    "frame.dropped",
-                    ts=self.telemetry.now,
-                    round=self.telemetry.rounds,
-                    session_id=session.session_id,
-                    count=dropped,
-                )
-            self.tracer.emit(
-                "session.leave",
-                ts=self.telemetry.now,
-                round=self.telemetry.rounds,
-                session_id=session.session_id,
-                fleet=len(self._sessions),
-            )
 
     def _finish_drains(self) -> None:
         """Remove every draining session that has nothing left to serve."""
@@ -430,22 +359,9 @@ class ServingEngine:
             ),
             "jobs": self.worker.transfer(session),
         }
-        del self._sessions[session_id]
-        self.scheduler.forget(session_id)
-        self.supervisor.forget(session_id)
-        if self.weight_controller is not None:
-            self.weight_controller.forget(session_id)
+        self._detach(session)
         self.telemetry.migrations_out += 1
-        self.telemetry.leaves += 1
-        self.telemetry.record_fleet_size(len(self._sessions))
-        if self.tracer is not None:
-            self.tracer.emit(
-                "session.migrate-out",
-                ts=self.telemetry.now,
-                round=self.telemetry.rounds,
-                session_id=session_id,
-                pending=session.pending,
-            )
+        self._record("session.migrate-out", session_id, pending=session.pending)
         return session, carried
 
     def import_session(self, session: DemapperSession, carried=None) -> DemapperSession:
@@ -457,17 +373,8 @@ class ServingEngine:
         retrain futures/outcomes are re-homed on this engine's worker so
         an install or failure resolves *here*, never on the source.
         """
-        if session.session_id in self._sessions:
-            raise ValueError(f"duplicate session id {session.session_id!r}")
-        if session.draining:
-            raise ValueError(
-                f"session {session.session_id!r} is draining — it cannot "
-                "be imported"
-            )
-        self._sessions[session.session_id] = session
+        self._attach(session)
         self.telemetry.migrations_in += 1
-        self.telemetry.joins += 1
-        self.telemetry.record_fleet_size(len(self._sessions))
         if carried:
             if "now" in carried:
                 # the shards' symbol clocks are unrelated; shifting each
@@ -484,16 +391,7 @@ class ServingEngine:
             jobs = carried.get("jobs")
             if jobs:
                 self.worker.adopt(session, jobs)
-        if self.registry is not None:
-            session.register_metrics(self.registry, labels=self._metric_labels)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "session.migrate-in",
-                ts=self.telemetry.now,
-                round=self.telemetry.rounds,
-                session_id=session.session_id,
-                pending=session.pending,
-            )
+        self._record("session.migrate-in", session.session_id, pending=session.pending)
         return session
 
     def session(self, session_id: str) -> DemapperSession:
@@ -549,14 +447,7 @@ class ServingEngine:
             reason = next(
                 (r for r, b, a in zip(reasons, before, after) if a > b), "unknown"
             )
-            self.tracer.emit(
-                "frame.reject",
-                ts=now,
-                round=self.telemetry.rounds,
-                session_id=session_id,
-                seq=frame.seq,
-                reason=reason,
-            )
+            self._record("frame.reject", session_id, seq=frame.seq, reason=reason)
         return accepted
 
     # -- serving -------------------------------------------------------------
@@ -599,12 +490,10 @@ class ServingEngine:
         tracer = self.tracer
         rnd = self.telemetry.rounds
         if tracer is not None:
-            tracer.emit(
+            self._record(
                 "phase.demap-launch",
-                ts=batch_start,
                 ph="X",
                 dur=service_time,
-                round=rnd,
                 width=s_count,
                 symbols=service_time,
             )
@@ -768,13 +657,7 @@ class ServingEngine:
                 self.on_frame(session, frame, llrs3[row], report)
         if self.profiler is not None:
             self.profiler.account("control-plane", perf_counter() - t_cp - t_dec)
-        if tracer is not None:
-            tracer.emit(
-                "phase.control-plane",
-                ts=batch_start,
-                round=rnd,
-                frames=s_count,
-            )
+        self._record("phase.control-plane", frames=s_count)
         # quarantined rows rode the launch (occupancy keys on the true
         # width) but are not credited as served — and the symbol clock only
         # advances for served work, so a fault-free run's clock is
@@ -855,53 +738,31 @@ class ServingEngine:
                 session, session.retrain, job_rng
             )
             self.telemetry.retrains_started += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                "phase.retrain-submit",
-                ts=self.telemetry.now,
-                round=self.telemetry.rounds,
-                session_id=session.session_id,
-            )
+        self._record("phase.retrain-submit", session.session_id)
 
     def _quarantine(self, session: DemapperSession, frame: ServingFrame) -> None:
         """Fence off a session whose demap produced non-finite LLRs."""
-        now = self.telemetry.now
-        lost = session.quarantine(now=now)
+        sid = session.session_id
+        lost = session.quarantine(now=self.telemetry.now)
         self.telemetry.frames_quarantined += lost
-        self.telemetry.sessions_quarantined += 1
-        self.telemetry.health_timeline.append((now, session.session_id, QUARANTINED))
-        record = FailureRecord(
-            round=self.telemetry.rounds,
-            session_id=session.session_id,
-            kind="poison",
-            error=f"non-finite LLRs from frame seq={frame.seq}",
-            failures=0,
-            action="quarantine",
+        self._record("frame.quarantined", sid, seq=frame.seq, lost=lost)
+        self._record_health(sid, QUARANTINED)
+        self._record_failure(
+            FailureRecord(
+                round=self.telemetry.rounds,
+                session_id=sid,
+                kind="poison",
+                error=f"non-finite LLRs from frame seq={frame.seq}",
+                failures=0,
+                action="quarantine",
+            )
         )
-        self.telemetry.failure_log.append(record)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "frame.quarantined",
-                ts=now,
-                round=self.telemetry.rounds,
-                session_id=session.session_id,
-                seq=frame.seq,
-                lost=lost,
-            )
-            self.tracer.emit(
-                "session.health",
-                ts=now,
-                round=self.telemetry.rounds,
-                session_id=session.session_id,
-                health=QUARANTINED,
-            )
-        self._trace_failure(record)
         # a pending backoff/retry dies with the quarantine — the supervisor
         # must not re-launch a retrain for a fenced-off session
-        self.supervisor.forget(session.session_id)
+        self.supervisor.forget(sid)
         # and its scheduler credit is forfeited immediately: a fenced-off
         # session must not sit in the credit table looking like a backlog
-        self.scheduler.forget(session.session_id)
+        self.scheduler.forget(sid)
 
     def _absorb_worker_outcomes(self) -> None:
         """Feed resolved job outcomes (installs *and* failures) to the
@@ -910,30 +771,23 @@ class ServingEngine:
             sid = session.session_id
             if error is None:
                 self.supervisor.on_installed(sid)
-                if self.tracer is not None:
-                    # worker threads never touch the tracer — the install is
-                    # traced here, when the engine thread absorbs it
-                    self.tracer.emit(
-                        "retrain.install",
-                        ts=self.telemetry.now,
-                        round=self.telemetry.rounds,
-                        session_id=sid,
-                    )
+                # worker threads never touch the tracer — the install is
+                # traced here, when the engine thread absorbs it
+                self._record("retrain.install", sid)
                 continue
             if sid not in self._sessions or self._sessions[sid] is not session:
                 # the session left (or its id was reused) between the job's
                 # resolution and this round: log the failure, touch nothing
-                self.telemetry.retrain_failures += 1
-                record = FailureRecord(
-                    round=self.telemetry.rounds,
-                    session_id=sid,
-                    kind="error",
-                    error=f"{type(error).__name__}: {error} (session departed)",
-                    failures=0,
-                    action="retry",
+                self._record_failure(
+                    FailureRecord(
+                        round=self.telemetry.rounds,
+                        session_id=sid,
+                        kind="error",
+                        error=f"{type(error).__name__}: {error} (session departed)",
+                        failures=0,
+                        action="retry",
+                    )
                 )
-                self.telemetry.failure_log.append(record)
-                self._trace_failure(record)
                 self.supervisor.forget(sid)
                 continue
             self._handle_retrain_failure(session, error)
@@ -954,27 +808,13 @@ class ServingEngine:
         record = self.supervisor.on_failure(
             session.session_id, self.telemetry.rounds, error, kind=kind
         )
-        self.telemetry.retrain_failures += 1
-        if kind == "hung":
-            self.telemetry.retrains_hung += 1
-        self.telemetry.failure_log.append(record)
-        self._trace_failure(record)
+        self._record_failure(record)
         session.stats.retrain_failures += 1
         if session.state == RETRAINING:
             session.resume_serving()
         if record.action == "degrade" and session.health == HEALTHY:
-            now = self.telemetry.now
-            session.set_health(DEGRADED, now=now)
-            self.telemetry.sessions_degraded += 1
-            self.telemetry.health_timeline.append((now, session.session_id, DEGRADED))
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "session.health",
-                    ts=now,
-                    round=self.telemetry.rounds,
-                    session_id=session.session_id,
-                    health=DEGRADED,
-                )
+            session.set_health(DEGRADED, now=self.telemetry.now)
+            self._record_health(session.session_id, DEGRADED)
 
     def _expire_hung_jobs(self) -> None:
         """Abandon in-flight jobs older than the supervisor's deadline."""
@@ -984,14 +824,9 @@ class ServingEngine:
                 self.supervisor.forget(sid)
                 continue
             self.worker.abandon(session)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "retrain.hung",
-                    ts=self.telemetry.now,
-                    round=self.telemetry.rounds,
-                    session_id=sid,
-                    deadline_rounds=self.supervisor.deadline_rounds,
-                )
+            self._record(
+                "retrain.hung", sid, deadline_rounds=self.supervisor.deadline_rounds
+            )
             self._handle_retrain_failure(
                 session,
                 RetrainHungError(
@@ -1011,13 +846,7 @@ class ServingEngine:
                 self.supervisor.forget(sid)
                 continue
             self.telemetry.retrains_retried += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "retrain.retry",
-                    ts=self.telemetry.now,
-                    round=self.telemetry.rounds,
-                    session_id=sid,
-                )
+            self._record("retrain.retry", sid)
             self._submit_retrain(session)
 
     def step(self) -> int:
@@ -1041,13 +870,7 @@ class ServingEngine:
         outcome is absorbed again before allocation and a failing-fast
         session still serves its frames this very round.
         """
-        tracer = self.tracer
-        rnd = self.telemetry.rounds
-        if tracer is not None:
-            tracer.emit(
-                "round.begin", ts=self.telemetry.now, round=rnd,
-                sessions=len(self._sessions),
-            )
+        self._record("round.begin", sessions=len(self._sessions))
         with self._phase("absorb-outcomes"):
             self.telemetry.retrains_completed += self.worker.poll()
             self._absorb_worker_outcomes()
@@ -1055,15 +878,10 @@ class ServingEngine:
             self._launch_due_retries()
             self._absorb_worker_outcomes()
             self._finish_drains()
-        if tracer is not None:
-            tracer.emit("phase.absorb-outcomes", ts=self.telemetry.now, round=rnd)
+        self._record("phase.absorb-outcomes")
         with self._phase("schedule"):
             quotas = self.scheduler.allocate(self.sessions)
-        if tracer is not None:
-            tracer.emit(
-                "phase.schedule", ts=self.telemetry.now, round=rnd,
-                quota=sum(quotas.values()),
-            )
+        self._record("phase.schedule", quota=sum(quotas.values()))
         served = 0
         wave = 0
         while True:
@@ -1079,11 +897,9 @@ class ServingEngine:
                 )
             if not pulls:
                 break
-            if tracer is not None:
-                tracer.emit(
-                    "phase.coalesce", ts=self.telemetry.now, round=rnd,
-                    wave=wave, pulls=len(pulls), batches=len(batches),
-                )
+            self._record(
+                "phase.coalesce", wave=wave, pulls=len(pulls), batches=len(batches)
+            )
             for i, batch in enumerate(batches):
                 # per-(wave, position) scratch keys: rounds with several
                 # differently shaped groups must not thrash the shape-keyed
@@ -1095,13 +911,21 @@ class ServingEngine:
         with self._phase("weight-control"):
             if self.weight_controller is not None:
                 self.weight_controller.on_round(self.sessions, now=self.telemetry.now)
+        self._record("round.end", served=served, waves=wave)
         self.telemetry.rounds += 1
-        if tracer is not None:
-            tracer.emit(
-                "round.end", ts=self.telemetry.now, round=rnd,
-                served=served, waves=wave,
-            )
         return served
+
+    def pending_retrains(self) -> int:
+        """In-flight retrain jobs (drivers poll this)."""
+        return self.worker.pending
+
+    def wait_retrains(self, timeout: float | None = None) -> None:
+        """Block until in-flight retrains resolve, crediting the installs.
+
+        ``timeout`` (seconds) bounds the wait: a job unfinished at expiry
+        is abandoned and surfaces as a hung failure on the next round.
+        """
+        self.telemetry.retrains_completed += self.worker.wait_all(timeout)
 
     def _stuck_session_ids(self) -> list[str]:
         """Sessions that still hold work a drain must wait for."""
@@ -1146,7 +970,7 @@ class ServingEngine:
             served = self.step()
             rounds += 1
             total += served
-            if not self.worker.pending and not any(s.pending for s in self.sessions):
+            if not self.pending_retrains() and not any(s.pending for s in self.sessions):
                 self._finish_drains()
                 return total
             if max_rounds is not None and rounds >= max_rounds:
@@ -1156,8 +980,8 @@ class ServingEngine:
                 )
             if served:
                 continue
-            if self.worker.pending:
-                self.telemetry.retrains_completed += self.worker.wait_all(timeout)
+            if self.pending_retrains():
+                self.wait_retrains(timeout)
                 continue
             if any(s.ready for s in self.sessions):
                 continue  # scheduler credit accruing (weight < 1): not stuck
@@ -1180,7 +1004,7 @@ class ServingEngine:
         can never wedge on a hung job.
         """
         try:
-            self.telemetry.retrains_completed += self.worker.wait_all(timeout)
+            self.wait_retrains(timeout)
             self._absorb_worker_outcomes()
         finally:
             self.worker.close(timeout)

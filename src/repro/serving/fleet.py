@@ -277,7 +277,14 @@ class FleetFrontEnd:
 
     def pending_retrains(self) -> int:
         """In-flight retrain jobs fleet-wide (drivers poll this)."""
-        return sum(shard.worker.pending for shard in self.shards)
+        return sum(shard.pending_retrains() for shard in self.shards)
+
+    def wait_retrains(self, timeout: float | None = None) -> None:
+        """Block on every shard's in-flight retrains, crediting installs
+        (see :meth:`ServingEngine.wait_retrains`)."""
+        for shard in self.shards:
+            if shard.pending_retrains():
+                shard.wait_retrains(timeout)
 
     # -- observability -------------------------------------------------------
     def register_metrics(self, registry_factory=None):

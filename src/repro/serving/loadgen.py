@@ -242,7 +242,7 @@ def build_fleet(
 
 
 def _drive(
-    engine: ServingEngine,
+    server,
     *,
     produce,
     complete,
@@ -250,51 +250,58 @@ def _drive(
     max_rounds: int | None,
     label: str,
     wait_timeout: float | None = None,
-) -> EngineStats:
-    """The one serve/stall pump shared by both load drivers.
+    tracer=None,
+) -> None:
+    """The one serve/stall pump shared by every load driver.
 
-    Per round: ``produce(round_index)`` feeds the engine (submissions,
-    joins, removals), one engine round runs, then, in order: *completion*
+    ``server`` is a :class:`ServingEngine` or a
+    :class:`~repro.serving.fleet.FleetFrontEnd` — anything with ``step``,
+    ``sessions``, ``pending_retrains`` and ``wait_retrains``.  Per round:
+    ``produce(round_index)`` feeds the server (submissions, joins,
+    removals, migrations), one round runs, then, in order: *completion*
     (``complete()`` true and no retrain in flight — checked before the
     guard, so a run finishing exactly on ``max_rounds`` returns instead of
     raising), the ``max_rounds`` safety bound (:class:`RuntimeError` — the
     same semantics as ``ServingEngine.drain``), and progress/stall
     classification: a served frame, an in-flight retrain (blocked on, not
     spun on), a ready session accruing fractional scheduler credit, or a
-    producer-side reason to idle (``idle_ok()`` — e.g. a join/leave still
-    scheduled) all count as progress; anything else is a stall and raises.
-    Keeping this state machine in one place is what keeps the two drivers'
-    ``max_rounds``/stall semantics identical by construction.
+    producer-side reason to idle (``idle_ok()`` — e.g. a join, leave or
+    migration still scheduled) all count as progress; anything else is a
+    stall and raises.  Keeping this state machine in one place is what
+    keeps the drivers' ``max_rounds``/stall semantics identical by
+    construction.
 
     ``wait_timeout`` (seconds) bounds each blocking wait for in-flight
     retrains (same semantics as ``ServingEngine.drain(timeout=)``): a job
     unfinished at expiry is abandoned and surfaces as a hung failure on the
     next round — a hung retrain slows the driver down but never wedges it.
+    A ``tracer`` (an engine's own) records each such wait as
+    ``driver.wait-retrains``.
     """
     rounds = 0
     while True:
         produce(rounds)
-        served = engine.step()
+        served = server.step()
         rounds += 1
-        if complete() and not engine.worker.pending:
-            return engine.telemetry
+        if complete() and not server.pending_retrains():
+            return
         if max_rounds is not None and rounds >= max_rounds:
             raise RuntimeError(
                 f"{label} did not complete within max_rounds={max_rounds}"
             )
         if served:
             continue
-        if engine.worker.pending:
-            if engine.tracer is not None:
-                engine.tracer.emit(
+        if server.pending_retrains():
+            if tracer is not None:
+                tracer.emit(
                     "driver.wait-retrains",
-                    ts=engine.telemetry.now,
-                    round=engine.telemetry.rounds,
-                    pending=engine.worker.pending,
+                    ts=server.telemetry.now,
+                    round=server.telemetry.rounds,
+                    pending=server.pending_retrains(),
                 )
-            engine.telemetry.retrains_completed += engine.worker.wait_all(wait_timeout)
+            server.wait_retrains(wait_timeout)
             continue
-        if any(s.ready for s in engine.sessions):
+        if any(s.ready for s in server.sessions):
             # a zero-served round while a fractional-weight session accrues
             # scheduler credit is still progress — keep pumping rounds
             continue
@@ -303,6 +310,40 @@ def _drive(
         # Nothing served, nothing in flight, nothing scheduled: a session is
         # stuck outside SERVING with no job to wait for — fail loudly.
         raise RuntimeError(f"{label} stalled: frames pending but nothing servable")
+
+
+def _traffic_producer(server, traffic: Mapping[str, Sequence[ServingFrame]]):
+    """``(produce, complete)`` feeding per-session frame lists to ``server``.
+
+    ``produce`` submits as many frames per session as its bounded queue
+    accepts (rejected submissions are retried next round); ``complete``
+    is true once every list is fully submitted — or its session is fenced
+    off (quarantined, or gone from the registry), which abandons the rest
+    — and no queue holds a frame.
+    """
+    offsets = {sid: 0 for sid in traffic}
+
+    def fenced(sid):
+        return (
+            not server.has_session(sid)
+            or server.session(sid).health == QUARANTINED
+        )
+
+    def produce(_round):
+        for sid, frames in traffic.items():
+            if fenced(sid):
+                continue
+            o = offsets[sid]
+            while o < len(frames) and server.submit(sid, frames[o]):
+                o += 1
+            offsets[sid] = o
+
+    def complete():
+        return all(
+            offsets[sid] == len(traffic[sid]) or fenced(sid) for sid in traffic
+        ) and not any(s.pending for s in server.sessions)
+
+    return produce, complete
 
 
 def run_load(
@@ -330,29 +371,8 @@ def run_load(
     than stalling on a fenced-off queue.  Same for a session that left the
     registry entirely.
     """
-    offsets = {sid: 0 for sid in traffic}
-
-    def fenced(sid):
-        return (
-            not engine.has_session(sid)
-            or engine.session(sid).health == QUARANTINED
-        )
-
-    def produce(_round):
-        for sid, frames in traffic.items():
-            if fenced(sid):
-                continue
-            o = offsets[sid]
-            while o < len(frames) and engine.submit(sid, frames[o]):
-                o += 1
-            offsets[sid] = o
-
-    def complete():
-        return all(
-            offsets[sid] == len(traffic[sid]) or fenced(sid) for sid in traffic
-        ) and not any(s.pending for s in engine.sessions)
-
-    return _drive(
+    produce, complete = _traffic_producer(engine, traffic)
+    _drive(
         engine,
         produce=produce,
         complete=complete,
@@ -360,7 +380,9 @@ def run_load(
         max_rounds=max_rounds,
         label="load generator",
         wait_timeout=wait_timeout,
+        tracer=engine.tracer,
     )
+    return engine.telemetry
 
 
 @dataclass(frozen=True)
@@ -433,56 +455,29 @@ def run_fleet_load(
     that get quarantined or leave mid-run abandon their remaining traffic,
     exactly as in :func:`run_load`.
     """
-    offsets = {sid: 0 for sid in traffic}
     due: dict[int, list[MigrationPlan]] = {}
     for plan in migrations:
         due.setdefault(plan.round, []).append(plan)
     for round_plans in due.values():
         round_plans.sort(key=lambda p: p.session_id)
-    remaining_migrations = len(migrations)
+    submit, complete = _traffic_producer(fleet, traffic)
 
-    def fenced(sid):
-        return (
-            not fleet.has_session(sid)
-            or fleet.session(sid).health == QUARANTINED
-        )
-
-    rounds = 0
-    while True:
+    def produce(rounds):
         for plan in due.pop(rounds, ()):
-            remaining_migrations -= 1
             if fleet.has_session(plan.session_id):
                 fleet.migrate(plan.session_id, plan.dest_shard)
-        for sid, frames in traffic.items():
-            if fenced(sid):
-                continue
-            o = offsets[sid]
-            while o < len(frames) and fleet.submit(sid, frames[o]):
-                o += 1
-            offsets[sid] = o
-        served = fleet.step()
-        rounds += 1
-        done = all(
-            offsets[sid] == len(traffic[sid]) or fenced(sid) for sid in traffic
-        ) and not any(s.pending for s in fleet.sessions)
-        if done and not fleet.pending_retrains() and not remaining_migrations:
-            return fleet.stats()
-        if max_rounds is not None and rounds >= max_rounds:
-            raise RuntimeError(
-                f"fleet load did not complete within max_rounds={max_rounds}"
-            )
-        if served:
-            continue
-        if fleet.pending_retrains():
-            for shard in fleet.shards:
-                if shard.worker.pending:
-                    shard.telemetry.retrains_completed += shard.worker.wait_all(
-                        wait_timeout
-                    )
-            continue
-        if any(s.ready for s in fleet.sessions) or remaining_migrations:
-            continue  # credit accruing, or the schedule still has events
-        raise RuntimeError("fleet load stalled: frames pending but nothing servable")
+        submit(rounds)
+
+    _drive(
+        fleet,
+        produce=produce,
+        complete=lambda: complete() and not due,
+        idle_ok=lambda: bool(due),
+        max_rounds=max_rounds,
+        label="fleet load",
+        wait_timeout=wait_timeout,
+    )
+    return fleet.stats()
 
 
 def run_churn_load(
@@ -552,7 +547,7 @@ def run_churn_load(
     def pending_schedule(i, plan):
         return not joined[i] or (plan.leave_round is not None and not leave_requested[i])
 
-    return _drive(
+    _drive(
         engine,
         produce=produce,
         complete=lambda: all(settled(i, p) for i, p in enumerate(plans)),
@@ -560,4 +555,6 @@ def run_churn_load(
         max_rounds=max_rounds,
         label="churn load",
         wait_timeout=wait_timeout,
+        tracer=engine.tracer,
     )
+    return engine.telemetry

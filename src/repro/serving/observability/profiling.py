@@ -3,7 +3,7 @@
 Where the :class:`~repro.serving.observability.tracing.Tracer` orders
 events on the deterministic symbol clock, the :class:`RoundProfiler`
 answers the one question that clock cannot: *where does the wall time go?*
-Attached via ``ServingEngine(profiler=...)`` it accumulates
+Attached via ``EngineConfig(profiler=...)`` it accumulates
 ``perf_counter`` timings per round phase (``absorb-outcomes`` /
 ``schedule`` / ``coalesce`` / ``demap-launch`` / ``control-plane`` /
 ``decode`` / ``retrain-submit`` / ``weight-control``) and per-batch

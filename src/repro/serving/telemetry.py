@@ -59,11 +59,9 @@ __all__ = [
 #: (decode counters, FER, post-FEC BER trajectory, CRC-failure seqs).
 SCHEMA_VERSION = 5
 
-#: Backwards-compatible alias (pre-fleet name for the same constant).
-SNAPSHOT_SCHEMA = SCHEMA_VERSION
-
 #: SessionStats integer counters, in snapshot order — the fields
-#: :meth:`SessionStats.register_metrics` exposes as live counters.
+#: :meth:`SessionStats.register_metrics` exposes as live counters and
+#: :meth:`SessionStats.snapshot` lists first.
 _SESSION_COUNTER_FIELDS = (
     "frames_served",
     "symbols_served",
@@ -80,7 +78,8 @@ _SESSION_COUNTER_FIELDS = (
     "crc_failures",
 )
 
-#: EngineStats integer counters, in snapshot order.
+#: EngineStats integer counters, in snapshot order (merged, registered and
+#: listed first by :meth:`EngineStats.snapshot`).
 _ENGINE_COUNTER_FIELDS = (
     "rounds",
     "batches",
@@ -344,20 +343,8 @@ class SessionStats:
     def snapshot(self) -> dict:
         """Plain-dict copy (lists copied) for logging/JSON."""
         return {
-            "schema": SNAPSHOT_SCHEMA,
-            "frames_served": self.frames_served,
-            "symbols_served": self.symbols_served,
-            "retrains": self.retrains,
-            "tracks": self.tracks,
-            "rejects": self.rejects,
-            "drain_refusals": self.drain_refusals,
-            "frames_dropped": self.frames_dropped,
-            "frames_quarantined": self.frames_quarantined,
-            "retrain_failures": self.retrain_failures,
-            "quarantine_refusals": self.quarantine_refusals,
-            "poison_rejected": self.poison_rejected,
-            "frames_decoded": self.frames_decoded,
-            "crc_failures": self.crc_failures,
+            "schema": SCHEMA_VERSION,
+            **{name: getattr(self, name) for name in _SESSION_COUNTER_FIELDS},
             "frame_error_rate": self.frame_error_rate,
             "trigger_seqs": list(self.trigger_seqs),
             "tier_timeline": list(self.tier_timeline),
@@ -546,30 +533,8 @@ class EngineStats:
     def snapshot(self) -> dict:
         """Plain-dict copy for logging/JSON (occupancy keys sorted)."""
         return {
-            "schema": SNAPSHOT_SCHEMA,
-            "rounds": self.rounds,
-            "batches": self.batches,
-            "frames_served": self.frames_served,
-            "symbols_served": self.symbols_served,
-            "retrains_started": self.retrains_started,
-            "retrains_completed": self.retrains_completed,
-            "retrains_orphaned": self.retrains_orphaned,
-            "retrain_failures": self.retrain_failures,
-            "retrains_hung": self.retrains_hung,
-            "retrains_retried": self.retrains_retried,
-            "sessions_degraded": self.sessions_degraded,
-            "sessions_quarantined": self.sessions_quarantined,
-            "frames_quarantined": self.frames_quarantined,
-            "tracks": self.tracks,
-            "joins": self.joins,
-            "leaves": self.leaves,
-            "drains_started": self.drains_started,
-            "drains_completed": self.drains_completed,
-            "frames_dropped": self.frames_dropped,
-            "migrations_in": self.migrations_in,
-            "migrations_out": self.migrations_out,
-            "frames_decoded": self.frames_decoded,
-            "crc_failures": self.crc_failures,
+            "schema": SCHEMA_VERSION,
+            **{name: getattr(self, name) for name in _ENGINE_COUNTER_FIELDS},
             "fleet_timeline": list(self.fleet_timeline),
             "failure_log": [
                 r.as_dict() if hasattr(r, "as_dict") else dict(r)

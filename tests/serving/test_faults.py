@@ -53,7 +53,9 @@ from repro.serving import (
     CodedFrameConfig,
     DemapperSession,
     FaultPlan,
+    FleetFrontEnd,
     InjectedRetrainError,
+    MigrationPlan,
     RetrainHungError,
     RetrainSupervisor,
     RetrainWorker,
@@ -62,7 +64,9 @@ from repro.serving import (
     SessionConfig,
     SteadyChannel,
     SteppedChannel,
+    Tracer,
     generate_traffic,
+    run_fleet_load,
 )
 
 S10 = sigma2_from_snr(10.0, 4)
@@ -634,7 +638,7 @@ class TestChaosSoak:
     N_ROUNDS = 210
     MAX_FLEET = 10
 
-    def run_soak(self, qam, seed, *, retrain_workers=0, max_batch=64):
+    def run_soak(self, qam, seed, *, retrain_workers=0, max_batch=64, tracer=None):
         rng = np.random.default_rng(seed)
         plan = FaultPlan(
             seed=seed,
@@ -652,6 +656,7 @@ class TestChaosSoak:
                 backoff_base=1,
                 deadline_rounds=8 if retrain_workers else None,
             ),
+            tracer=tracer,
         ))
         accepted: dict[str, int] = {}
         live: dict[str, dict] = {}
@@ -804,6 +809,59 @@ class TestChaosSoak:
                 assert s.stats.frames_served > 0
         assert engine.scheduler.credits() == {}
         assert engine.worker.pending == 0
+
+    @staticmethod
+    def assert_ledgers_match_trace(tele, tracer):
+        """Each engine event is recorded once: counters, ledgers and trace
+        tell the same story."""
+        assert tracer.dropped == 0
+        events = tracer.events
+
+        def count(*names):
+            return sum(e.name in names for e in events)
+
+        assert [
+            (e.session_id, e.name.removeprefix("fault."), e.args["action"])
+            for e in events if e.name.startswith("fault.")
+        ] == [(r.session_id, r.kind, r.action) for r in tele.failure_log]
+        assert [
+            (e.ts, e.session_id, e.args["health"])
+            for e in events if e.name == "session.health"
+        ] == tele.health_timeline
+        assert count("session.join", "session.migrate-in") == tele.joins
+        assert count("session.leave", "session.migrate-out") == tele.leaves
+        assert len(tele.fleet_timeline) == tele.joins + tele.leaves
+
+    def test_ledgers_agree_with_trace(self, qam16):
+        tracer = Tracer()
+        engine = self.run_soak(qam16, seed=3, max_batch=4, tracer=tracer)[0]
+        assert engine.telemetry.failure_log and engine.telemetry.health_timeline
+        self.assert_ledgers_match_trace(engine.telemetry, tracer)
+        # a migrating fleet: every shard's ledgers agree with its own trace
+        tracers = [Tracer() for _ in range(3)]
+        plan = FaultPlan(seed=5, fail_rate=0.3, poison_rate=0.03)
+        fleet = FleetFrontEnd(
+            3,
+            config_factory=lambda i: EngineConfig(max_batch=4, tracer=tracers[i]),
+            parallel=False,
+        )
+        traffic = {}
+        for i in range(6):
+            sid = f"f{i}"
+            fleet.add_session(make_session(
+                qam16, sid, seed=i, threshold=0.12,
+                retrain=plan.wrap_retrain(sid, RotateStub(qam16)),
+                coded=CODED if i % 2 else None,
+            ), shard=i % 3)
+            traffic[sid] = plan.corrupt_traffic(
+                sid, jump_traffic(qam16, 12, 40 + i, step=3, coded=CODED if i % 2 else None)
+            )
+        migrations = [MigrationPlan(f"f{i}", 1 + i, (i + 1) % 3) for i in range(6)]
+        with fleet:
+            run_fleet_load(fleet, traffic, migrations=migrations, max_rounds=500)
+        assert fleet.migrations > 0
+        for shard, shard_tracer in zip(fleet.shards, tracers):
+            self.assert_ledgers_match_trace(shard.telemetry, shard_tracer)
 
     def test_soak_is_deterministic(self, qam16):
         a = self.run_soak(qam16, seed=11)[0].telemetry.snapshot()

@@ -3,9 +3,8 @@
 The determinism contract one level up: a session's LLR/trigger/σ²/tier
 timelines are a pure function of its own frame order, so they are
 bit-identical at any shard count {1, 2, 4}, any placement seed and any
-migration schedule.  Plus the PR's API-redesign satellites: the frozen
-``EngineConfig`` construction path (legacy keywords via a single-warning
-deprecation shim), the curated ``from repro.serving import *`` surface,
+migration schedule.  Plus the API surface: the frozen ``EngineConfig``
+construction path, the curated ``from repro.serving import *`` surface,
 and the one ``SCHEMA_VERSION`` across every serving snapshot.
 """
 
@@ -172,57 +171,27 @@ def reference(qam_groups):
 
 
 class TestEngineConfig:
-    def test_config_and_legacy_build_identical_engines(self):
-        sched_args = dict(max_batch=7, retrain_workers=2)
-        cfg_engine = ServingEngine(config=EngineConfig(**sched_args))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_engine = ServingEngine(**sched_args)
-        try:
-            assert cfg_engine.max_batch == legacy_engine.max_batch == 7
-            assert cfg_engine.worker.n_workers == legacy_engine.worker.n_workers == 2
-            assert cfg_engine.config == legacy_engine.config == EngineConfig(**sched_args)
-        finally:
-            cfg_engine.close()
-            legacy_engine.close()
-
-    def test_legacy_keywords_warn_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine = ServingEngine(max_batch=4, retrain_workers=0)
-        engine.close()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "EngineConfig" in str(deprecations[0].message)
-
     def test_config_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             ServingEngine(config=EngineConfig(max_batch=4)).close()
             ServingEngine().close()  # all-defaults path is the config path
 
-    def test_mixing_config_and_legacy_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            ServingEngine(config=EngineConfig(), max_batch=4)
+    def test_config_is_the_only_constructor_path(self):
+        with pytest.raises(TypeError):
+            ServingEngine(max_batch=4)
 
     def test_validation_lives_in_the_config(self):
         with pytest.raises(ValueError, match="max_batch"):
             EngineConfig(max_batch=0)
         with pytest.raises(ValueError, match="n_workers"):
             EngineConfig(retrain_workers=-1)
-        # and the legacy shim still surfaces the same errors
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="max_batch"):
-                ServingEngine(max_batch=0)
 
     def test_config_is_frozen_and_buildable(self):
         cfg = EngineConfig(max_batch=3)
         with pytest.raises(AttributeError):
             cfg.max_batch = 5
-        engine = cfg.build()
+        engine = ServingEngine(config=cfg)
         try:
             assert engine.config is cfg
             assert engine.max_batch == 3
@@ -292,11 +261,6 @@ class TestSchemaUnification:
         assert snap["schema"] == SCHEMA_VERSION
         assert snap["merged"]["schema"] == SCHEMA_VERSION
         assert all(s["schema"] == SCHEMA_VERSION for s in snap["shards"])
-
-    def test_legacy_alias_still_points_at_it(self):
-        from repro.serving.telemetry import SNAPSHOT_SCHEMA
-
-        assert SNAPSHOT_SCHEMA == SCHEMA_VERSION
 
 
 # ---------------------------------------------------------------------------
