@@ -73,7 +73,7 @@ class EngineConfig:
         frame-lifecycle / round-phase / fault event stream on the simulated
         symbol clock.  Strictly observe-only: attaching one changes no
         per-session output bit (the passivity contract pinned by
-        ``tests/serving/test_observability.py``).
+        ``tests/serving/test_differential.py``).
     profiler:
         Optional :class:`~repro.serving.observability.RoundProfiler`
         accumulating wall-clock per-phase and per-launch-width timings.

@@ -55,16 +55,19 @@ the loop from per-session queue-wait histograms to the scheduler's live
 weights (sessions missing their SLO get boosted, healthy ones decay back
 to the configured base).
 
-Determinism contract (pinned by ``tests/serving/``): with a fixed traffic
-seed, per-session LLRs, σ² trajectories and the trigger/tier timeline are
-identical regardless of micro-batch width, queue depth, retrain worker
-count or scheduler weights — batching only shares the kernels' distance
-stage (bit-identical rows on the default tier), every per-frame state
-update is a pure function of the session's own frame order, and a
-retraining session is never served by stale centroids.  Churn extends the
-contract: a surviving session's timelines are bit-identical whether or not
-unrelated sessions join, drain or are hard-removed around it
-(``tests/serving/test_churn.py``).
+Determinism contract: with a fixed traffic seed, per-session LLRs,
+decoded-frame CRC verdicts and post-FEC BER, pilot-BER and σ² trajectories,
+the trigger/tier timeline and health states are identical regardless of
+micro-batch width, queue depth, retrain worker count, scheduler weights,
+churn, shard count, placement, migration, observers, or faults in other
+sessions — batching only shares the kernels' distance stage (bit-identical
+rows on the default tier), every per-frame state update is a pure function
+of the session's own frame order (an inline retrain's outcome reaches the
+supervisor before the session's next wave), and a retraining session is
+never served by stale centroids.  ``tests/serving/test_differential.py``
+checks randomly drawn combinations of all of these knobs against one
+sequential oracle (``max_batch=1``, queue depth 1, inline retrains,
+weights 1, no observers).
 """
 
 from __future__ import annotations
@@ -682,7 +685,7 @@ class ServingEngine:
         ``"retrain"``, or None when the trigger had no tier to respond
         with).  Runs on the engine thread in the session's own frame order
         — every update is a pure function of the session's traffic, which
-        is what the determinism suite pins.
+        is what ``tests/serving/test_differential.py`` pins.
         """
         # 1. in-loop σ²: fold this frame's pilot noise estimate in *before*
         # the monitor response, so an escalation decision (the tracker's
@@ -868,7 +871,12 @@ class ServingEngine:
         jobs are declared hung and abandoned, and due retries are
         re-submitted — inline retries resolve synchronously, so their
         outcome is absorbed again before allocation and a failing-fast
-        session still serves its frames this very round.
+        session still serves its frames this very round.  Outcomes of inline
+        retrains triggered mid-round are absorbed before each later wave:
+        an install re-arms the retrain tier before the session's next frame,
+        as a round boundary would; a failure is logged in the current round
+        (its backoff counts from there) and the session serves the rest of
+        its quota this round on its last-good demapper.
         """
         self._record("round.begin", sessions=len(self._sessions))
         with self._phase("absorb-outcomes"):
@@ -897,6 +905,11 @@ class ServingEngine:
                 )
             if not pulls:
                 break
+            if wave:
+                # an inline retrain resolves synchronously mid-round: the
+                # supervisor must see its outcome before the session's next
+                # frame, exactly as a round boundary would have shown it
+                self._absorb_worker_outcomes()
             self._record(
                 "phase.coalesce", wave=wave, pulls=len(pulls), batches=len(batches)
             )

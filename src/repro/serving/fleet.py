@@ -28,7 +28,7 @@ refuse migration (a drain is a promise to finish on its shard).
 **Determinism.**  A session's LLR/trigger/σ²/tier timelines are a pure
 function of its own frame order — never of co-tenants — so they are
 bit-identical at any shard count, any placement seed and any migration
-schedule (``tests/serving/test_fleet.py`` pins this).  Shard *telemetry*
+schedule (``tests/serving/test_differential.py`` pins this).  Shard *telemetry*
 (occupancy, clocks) naturally differs with placement; per-session outputs
 do not.
 

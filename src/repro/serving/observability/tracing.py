@@ -24,8 +24,8 @@ because wall time is *not* deterministic.
 **Passivity contract.**  The tracer only ever observes: the engine emits
 events strictly *after* the state change they describe, from the engine
 thread only, and nothing in the serving path reads the tracer back.
-Attaching one changes no per-session output bit (pinned by
-``tests/serving/test_observability.py``).
+Attaching one changes no per-session output bit (pinned against the
+sequential oracle by ``tests/serving/test_differential.py``).
 
 **Bounding.**  The buffer is a ring of ``capacity`` events: a long soak
 keeps the *latest* events and counts the overwritten ones in

@@ -1,6 +1,6 @@
 """Session churn: joins, drains, hard removals — under load, deterministically.
 
-Four layers of coverage:
+Three layers of coverage:
 
 * **removal semantics** — drain vs hard removal, retrain interactions
   (orphaned jobs), scheduler ``forget`` exactly once, churn telemetry;
@@ -10,90 +10,41 @@ Four layers of coverage:
   hard removals, retrain triggers, adaptive weights and backpressure,
   asserting the conservation invariants that make churn safe: a drained
   session loses no accepted frame, ``accepted == served + dropped`` fleet
-  wide, and the scheduler leaks no credit for departed sessions;
-* **survivor invariance** — the determinism contract extended to churn: a
-  surviving session's LLR stream and σ²/trigger/tier timelines are
-  bit-identical whichever churn storm happens around it, at any batch
-  width and worker count.
+  wide, and the scheduler leaks no credit for departed sessions.
+
+Survivor invariance — a surviving session's timelines are bit-identical
+whichever churn storm happens around it — is checked against the
+sequential oracle (``oracle.py``): at the points pinned in
+:class:`TestSurvivorInvariance`, and at random draws in
+``test_differential.py``.
 """
 
-import numpy as np
 import pytest
 
-from repro.channels import sigma2_from_snr
-from repro.channels.factories import AWGNFactory, CompositeFactory, PhaseOffsetFactory
+from oracle import (
+    FC,
+    S10,
+    SOAK_ROUNDS,
+    TRACK,
+    Draw,
+    RotateStub,
+    assert_scenario_fires,
+    check,
+    churn_soak,
+    clean_traffic,
+    jump_traffic,
+    make_session,
+)
 from repro.extraction import HybridDemapper
-from repro.extraction.monitor import PilotBERMonitor
-from repro.link.frames import FrameConfig
-from repro.modulation import qam_constellation
 from repro.serving import (
     EngineConfig,
     RETRAINING,
     DeficitRoundRobin,
-    DemapperSession,
     ServingEngine,
-    SessionConfig,
     SessionPlan,
-    SteadyChannel,
-    SteppedChannel,
     WeightController,
-    generate_traffic,
     run_churn_load,
 )
-
-S10 = sigma2_from_snr(10.0, 4)
-FC = FrameConfig(pilot_symbols=8, payload_symbols=24)
-OFFSET = np.pi / 4
-
-
-@pytest.fixture(scope="module")
-def qam16():
-    return qam_constellation(16)
-
-
-class RotateStub:
-    """Deterministic-in-rng retrain stand-in (the determinism-suite canary):
-    corrected centroids plus an rng-drawn jitter, so a reused or reordered
-    job generator would change outputs."""
-
-    def __init__(self, qam, angle=OFFSET):
-        self.qam = qam
-        self.angle = angle
-
-    def __call__(self, rng):
-        angle = self.angle + rng.normal(scale=1e-3)
-        return HybridDemapper(
-            constellation=type(self.qam)(points=self.qam.points * np.exp(1j * angle)),
-            sigma2=S10,
-        )
-
-
-def make_session(qam, sid, *, seed=0, queue_depth=4, retrain=None, weight=1.0,
-                 threshold=0.9, tracking=False):
-    return DemapperSession(
-        sid,
-        HybridDemapper(constellation=qam, sigma2=S10),
-        PilotBERMonitor(threshold, window=2, cooldown=2),
-        config=SessionConfig(
-            frame=FC, queue_depth=queue_depth, weight=weight,
-            sigma2_alpha=0.25, tracking=tracking,
-        ),
-        retrain=retrain,
-        rng=seed,
-    )
-
-
-def clean_traffic(qam, n_frames, seed, *, snr=10.0):
-    return generate_traffic(qam, FC, n_frames, SteadyChannel(AWGNFactory(snr, 4)), seed)
-
-
-def jump_traffic(qam, n_frames, seed, *, step=4):
-    chan = SteppedChannel(
-        AWGNFactory(10.0, 4),
-        CompositeFactory((PhaseOffsetFactory(OFFSET), AWGNFactory(10.0, 4))),
-        step_seq=step,
-    )
-    return generate_traffic(qam, FC, n_frames, chan, seed)
 
 
 class ForgetSpy(DeficitRoundRobin):
@@ -342,105 +293,18 @@ class TestChurnLoadgen:
 
 
 class TestChurnSoak:
-    """Seeded randomized soak: ≥200 rounds of joins, drains, hard removals,
-    retrain triggers, adaptive weights and backpressure — with conservation
+    """``oracle.churn_soak`` with adaptive weights: 210 rounds of joins,
+    drains, hard removals, retrain triggers and backpressure, conservation
     invariants checked every round."""
 
-    N_ROUNDS = 210
-    MAX_FLEET = 10
-
-    def run_soak(self, qam, seed, *, retrain_workers=0, max_batch=64):
-        rng = np.random.default_rng(seed)
+    def run_soak(self, qam, seed, *, retrain_workers=0):
         engine = ServingEngine(config=EngineConfig(
-            max_batch=max_batch,
             retrain_workers=retrain_workers,
             weight_controller=WeightController(slo=FC.total_symbols * 6, interval=4),
         ))
-        accepted: dict[str, int] = {}
-        live: dict[str, dict] = {}      # sid -> {"session", "frames", "offset"}
-        removed_drained: list[DemapperSession] = []
-        removed_hard: list[DemapperSession] = []
-        draining_ids: set[str] = set()
-        next_id = 0
-
-        def join():
-            nonlocal next_id
-            sid = f"c{next_id}"
-            next_id += 1
-            (srng,) = rng.spawn(1)
-            jumpy = rng.random() < 0.4
-            session = make_session(
-                qam, sid, seed=int(rng.integers(2**31)), queue_depth=2,
-                retrain=RotateStub(qam) if jumpy else None,
-                threshold=0.12 if jumpy else 0.9,
-                weight=float(rng.choice([0.5, 1.0, 2.0])),
-            )
-            n_frames = int(rng.integers(8, 25))
-            frames = (
-                jump_traffic(qam, n_frames, srng, step=int(rng.integers(2, 6)))
-                if jumpy else clean_traffic(qam, n_frames, srng)
-            )
-            engine.add_session(session)
-            live[sid] = {"session": session, "frames": frames, "offset": 0}
-            accepted[sid] = 0
-
-        for _ in range(4):
-            join()
-
-        for r in range(self.N_ROUNDS):
-            op = rng.random()
-            if op < 0.12 and len(live) < self.MAX_FLEET:
-                join()
-            elif op < 0.18 and len(live) > 2:
-                sid = str(rng.choice(sorted(set(live) - draining_ids) or sorted(live)))
-                if sid not in draining_ids:
-                    engine.remove_session(sid, drain=True)
-                    draining_ids.add(sid)
-                    removed_drained.append(live[sid]["session"])
-            elif op < 0.22 and len(live) > 2:
-                sid = str(rng.choice(sorted(live)))
-                engine.remove_session(sid, drain=False)
-                entry = live.pop(sid)
-                if sid in draining_ids:
-                    draining_ids.discard(sid)
-                    removed_drained.remove(entry["session"])
-                removed_hard.append(entry["session"])
-            # producers: burst 0-3 submissions per live session (bursts beat
-            # queue_depth=2, so backpressure rejects genuinely happen)
-            for sid in sorted(set(live) - draining_ids):
-                entry = live[sid]
-                for _ in range(int(rng.integers(0, 4))):
-                    o = entry["offset"]
-                    if o >= len(entry["frames"]):
-                        break
-                    if engine.submit(sid, entry["frames"][o]):
-                        entry["offset"] = o + 1
-                        accepted[sid] += 1
-            engine.step()
-            # drained sessions disappear once empty — sync our live view
-            gone = [sid for sid in draining_ids
-                    if all(s.session_id != sid for s in engine.sessions)]
-            for sid in gone:
-                draining_ids.discard(sid)
-                live.pop(sid)
-            # -- invariants, every round --------------------------------------
-            live_ids = {s.session_id for s in engine.sessions}
-            credits = engine.scheduler.credits()
-            assert set(credits) <= live_ids, "credit leaked past a removal"
-            for sid, c in credits.items():
-                # the documented burst cap, from the session's *live* weight
-                # (adaptive boosts included)
-                cap = max(1.0, engine.scheduler.burst * engine.scheduler.quantum
-                          * engine.session(sid).weight)
-                assert 0.0 <= c <= cap + 1e-9, (sid, c, cap)
-
-        for sid in sorted(set(live) - draining_ids):
-            if sid in live:
-                engine.remove_session(sid, drain=True)
-                removed_drained.append(live[sid]["session"])
-        engine.drain(max_rounds=10_000)
-        engine.close()
-        return engine, accepted, removed_drained, removed_hard
+        accepted, sessions, hard = churn_soak(engine, qam, seed, jumpy_rate=0.4)
+        drained = [s for s in sessions if s not in hard]
+        return engine, accepted, drained, hard
 
     @pytest.mark.parametrize("retrain_workers", [0, 2])
     def test_soak_conserves_frames_and_credit(self, qam16, retrain_workers):
@@ -449,7 +313,7 @@ class TestChurnSoak:
         )
         tele = engine.telemetry
         # the soak actually exercised everything it claims to
-        assert tele.rounds >= self.N_ROUNDS
+        assert tele.rounds >= SOAK_ROUNDS
         assert tele.joins > 4 and tele.leaves == tele.joins  # all left at the end
         assert tele.drains_completed == len(drained)
         assert len(hard) > 0 and tele.frames_dropped > 0
@@ -485,106 +349,21 @@ class TestChurnSoak:
 
 
 class TestSurvivorInvariance:
-    """The churn determinism contract: a surviving session's outputs are a
-    pure function of its own traffic — invariant to the churn composition
-    around it, the micro-batch width, and the retrain worker count."""
+    """The tracking fleet's timelines are invariant to the churn storm
+    around it (``run_churn_load``), the micro-batch width and the retrain
+    worker count."""
 
-    N_FRAMES = 14
-
-    def survivor_traffic(self, qam):
-        return jump_traffic(qam, self.N_FRAMES, 4242, step=6)
-
-    def run(self, qam, churn_seed, *, max_batch=64, retrain_workers=0):
-        """One run: the watched survivor plus a churn storm around it."""
-        llrs: list[np.ndarray] = []
-        engine = ServingEngine(config=EngineConfig(
-            max_batch=max_batch,
-            retrain_workers=retrain_workers,
-            on_frame=lambda s, f, block, rep: (
-                llrs.append(block.copy()) if s.session_id == "watch" else None
-            ),
-        ))
-        survivor = make_session(
-            qam, "watch", seed=1234, queue_depth=3,
-            retrain=RotateStub(qam), threshold=0.12, tracking=True,
-        )
-        engine.add_session(survivor)
-        frames = self.survivor_traffic(qam)
-        churn: dict[str, dict] = {}
-        rng = np.random.default_rng(churn_seed)
-        offset = 0
-        guard = 0
-        while survivor.stats.frames_served < self.N_FRAMES:
-            guard += 1
-            assert guard < 500, "survivor starved"
-            if churn_seed is not None:
-                # a churn storm: join up to 2 sessions/round, drain or
-                # hard-remove others, all driven by the churn seed only
-                if rng.random() < 0.5 and len(churn) < 6:
-                    sid = f"g{guard}"
-                    (srng,) = rng.spawn(1)
-                    engine.add_session(
-                        make_session(qam, sid, seed=int(rng.integers(2**31)),
-                                     weight=float(rng.choice([0.5, 2.0])))
-                    )
-                    churn[sid] = {"frames": clean_traffic(qam, 30, srng), "o": 0}
-                if churn and rng.random() < 0.35:
-                    sid = str(rng.choice(sorted(churn)))
-                    engine.remove_session(sid, drain=bool(rng.random() < 0.5))
-                    del churn[sid]
-                for sid in sorted(churn):
-                    if any(s.session_id == sid for s in engine.sessions):
-                        entry = churn[sid]
-                        while entry["o"] < len(entry["frames"]) and engine.submit(
-                            sid, entry["frames"][entry["o"]]
-                        ):
-                            entry["o"] += 1
-            while offset < len(frames) and engine.submit("watch", frames[offset]):
-                offset += 1
-            engine.step()
-            if survivor.state == RETRAINING and engine.worker.pending:
-                engine.telemetry.retrains_completed += engine.worker.wait_all()
-        engine.close()
-        timeline = (
-            tuple(survivor.stats.trigger_seqs),
-            tuple(survivor.stats.tier_timeline),
-            tuple(survivor.stats.sigma2_trajectory),
-            survivor.stats.retrains,
-            survivor.stats.tracks,
-        )
-        return llrs, timeline
-
-    @pytest.fixture(scope="class")
-    def reference(self, qam16):
-        """No churn, sequential batches, inline worker."""
-        return self.run(qam16, churn_seed=None, max_batch=1)
-
-    def assert_identical(self, run, reference):
-        llrs, timeline = run
-        ref_llrs, ref_timeline = reference
-        assert timeline == ref_timeline
-        assert len(llrs) == len(ref_llrs) == self.N_FRAMES
-        for got, ref in zip(llrs, ref_llrs):
-            assert np.array_equal(got, ref)
-
-    def test_reference_scenario_adapts(self, reference):
-        _, timeline = reference
-        assert timeline[0], "survivor's monitor never fired — scenario too easy"
+    def test_reference_scenario_adapts(self):
+        assert_scenario_fires(TRACK)
 
     @pytest.mark.parametrize("churn_seed", [1, 2, 3])
-    def test_invariant_to_churn_schedule(self, qam16, reference, churn_seed):
-        self.assert_identical(self.run(qam16, churn_seed=churn_seed), reference)
+    def test_invariant_to_churn_schedule(self, churn_seed):
+        check(Draw(TRACK, churn=churn_seed))
 
     @pytest.mark.parametrize("max_batch", [2, 64])
-    def test_invariant_to_batch_width_under_churn(self, qam16, reference, max_batch):
-        self.assert_identical(
-            self.run(qam16, churn_seed=5, max_batch=max_batch), reference
-        )
+    def test_invariant_to_batch_width_under_churn(self, max_batch):
+        check(Draw(TRACK, churn=5, max_batch=max_batch))
 
     @pytest.mark.parametrize("retrain_workers", [1, 3])
-    def test_invariant_to_worker_count_under_churn(
-        self, qam16, reference, retrain_workers
-    ):
-        self.assert_identical(
-            self.run(qam16, churn_seed=5, retrain_workers=retrain_workers), reference
-        )
+    def test_invariant_to_worker_count_under_churn(self, retrain_workers):
+        check(Draw(TRACK, churn=5, workers=retrain_workers))

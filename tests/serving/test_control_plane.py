@@ -1,22 +1,24 @@
 """Serving control plane: in-loop σ², tiered adaptation, latency telemetry.
 
-Three contracts on top of the PR-3 determinism story:
+Two contracts on top of the determinism story:
 
 * **σ² loop** — each session's noise estimate follows a drifting SNR from
   its own pilots (EWMA over :func:`repro.link.estimation.
   estimate_noise_sigma2`), deterministically;
 * **tier ladder** — a monitor trigger is answered by the cheap rigid
   tracking tier first; retrain+re-extract runs only for non-rigid warps or
-  persisting degradation, and a recovered session re-arms the ladder;
-* **invariance** — per-session LLR streams, trigger/tier timelines and σ²
-  trajectories are bit-identical across micro-batch width, queue depth,
-  retrain worker count and scheduler weight permutations (weights reorder
-  *when* frames are served, never *what* a session's frames see).
+  persisting degradation, and a recovered session re-arms the ladder.
+
+Their invariance to batch width, queue depth, workers and scheduler
+weights is checked against the sequential oracle (``oracle.py``): at the
+points pinned in :class:`TestControlPlaneDeterminism`, and at random draws
+in ``test_differential.py``.
 """
 
 import numpy as np
 import pytest
 
+from oracle import TRACK, Draw, assert_scenario_fires, check
 from repro.channels import sigma2_from_snr
 from repro.channels.factories import (
     AWGNFactory,
@@ -26,7 +28,6 @@ from repro.channels.factories import (
 )
 from repro.extraction import HybridDemapper, PilotBERMonitor
 from repro.link.frames import FrameConfig
-from repro.modulation import qam_constellation
 from repro.serving import (
     EngineConfig,
     LatencyHistogram,
@@ -42,11 +43,6 @@ from repro.serving import (
 S10 = sigma2_from_snr(10.0, 4)
 S8 = sigma2_from_snr(8.0, 4)
 FC = FrameConfig(pilot_symbols=32, payload_symbols=96)
-
-
-@pytest.fixture(scope="module")
-def qam16():
-    return qam_constellation(16)
 
 
 def control_plane_config(**overrides):
@@ -234,154 +230,6 @@ class TestTieredAdaptation:
         assert [tier for _, tier in session.stats.tier_timeline] == ["track", "track"]
 
 
-class RotateStub:
-    """Deterministic-in-rng retrain policy: corrected centroids plus an
-    rng-drawn jitter, so reused/reordered job generators would change
-    outputs (the same canary as the PR-3 determinism suite)."""
-
-    def __init__(self, qam, angle):
-        self.qam = qam
-        self.angle = angle
-
-    def __call__(self, rng):
-        angle = self.angle + rng.normal(scale=1e-3)
-        return HybridDemapper(
-            constellation=type(self.qam)(points=self.qam.points * np.exp(1j * angle)),
-            sigma2=S10,
-        )
-
-
-class TestControlPlaneDeterminism:
-    """Mixed fleet — rigid jumps (tracking tier), IQ warps (retrain tier),
-    clean sessions — served with every control-plane feature on.  All
-    per-session timelines must be bit-identical across engine knobs."""
-
-    N_SESSIONS = 6
-    N_FRAMES = 10
-
-    def make_traffic(self, qam, session_ids, seed=17):
-        clean = SteadyChannel(AWGNFactory(10.0, 4))
-        rigid = SteppedChannel(
-            AWGNFactory(10.0, 4),
-            CompositeFactory((PhaseOffsetFactory(np.pi / 4), AWGNFactory(8.0, 4))),
-            step_seq=4,
-        )
-        warp = SteppedChannel(
-            AWGNFactory(10.0, 4),
-            CompositeFactory((IQImbalanceFactory(8.0, 0.8), AWGNFactory(10.0, 4))),
-            step_seq=4,
-        )
-        rng = np.random.default_rng(seed)
-        traffic = {}
-        for i, sid in enumerate(session_ids):
-            (srng,) = rng.spawn(1)
-            chan = (rigid, warp, clean)[i % 3]
-            traffic[sid] = generate_traffic(qam, FC, self.N_FRAMES, chan, srng)
-        return traffic
-
-    def serve(self, qam, *, max_batch, queue_depth, retrain_workers, weights=None):
-        llrs: dict[str, list[np.ndarray]] = {}
-        engine = ServingEngine(config=EngineConfig(
-            max_batch=max_batch,
-            retrain_workers=retrain_workers,
-            on_frame=lambda s, f, block, rep: llrs.setdefault(s.session_id, []).append(
-                block.copy()
-            ),
-        ))
-        weights = weights if weights is not None else [1.0] * self.N_SESSIONS
-        sessions = build_fleet(
-            engine,
-            self.N_SESSIONS,
-            HybridDemapper(constellation=qam, sigma2=S10),
-            monitor_factory=lambda: PilotBERMonitor(0.12, window=2, cooldown=2),
-            config_factory=lambda i: control_plane_config(
-                sigma2_alpha=0.25, track_residual=0.35,
-                queue_depth=queue_depth, weight=weights[i],
-            ),
-            retrain_factory=lambda i: RotateStub(qam, np.pi / 4),
-            seed=99,
-        )
-        with engine:
-            run_load(engine, self.make_traffic(qam, [s.session_id for s in sessions]))
-        timelines = {
-            s.session_id: (
-                tuple(s.stats.trigger_seqs),
-                tuple(s.stats.tier_timeline),
-                tuple(s.stats.sigma2_trajectory),
-                s.stats.retrains,
-                s.stats.tracks,
-            )
-            for s in sessions
-        }
-        return llrs, timelines
-
-    @pytest.fixture(scope="class")
-    def qamc(self):
-        return qam_constellation(16)
-
-    @pytest.fixture(scope="class")
-    def reference(self, qamc):
-        """Inline-worker, single-frame-batches, uniform-weight reference."""
-        return self.serve(qamc, max_batch=1, queue_depth=1, retrain_workers=0)
-
-    def assert_identical(self, run, reference):
-        llrs, timelines = run
-        ref_llrs, ref_timelines = reference
-        assert timelines == ref_timelines
-        assert set(llrs) == set(ref_llrs)
-        for sid in ref_llrs:
-            assert len(llrs[sid]) == len(ref_llrs[sid]) == self.N_FRAMES
-            for got, ref in zip(llrs[sid], ref_llrs[sid]):
-                assert np.array_equal(got, ref)
-
-    def test_scenario_exercises_both_tiers(self, reference):
-        """Sanity: the mixed fleet actually hits track AND retrain paths."""
-        _, timelines = reference
-        tiers = {t for _, tl, *_ in timelines.values() for _, t in tl}
-        assert tiers == {"track", "retrain"}
-        # the σ² loop is live too: every session's estimate moved
-        assert all(traj[-1] != S10 for _, _, traj, _, _ in timelines.values())
-
-    @pytest.mark.parametrize("max_batch", [2, 64])
-    def test_invariant_to_micro_batch_width(self, qamc, reference, max_batch):
-        self.assert_identical(
-            self.serve(qamc, max_batch=max_batch, queue_depth=1, retrain_workers=0),
-            reference,
-        )
-
-    @pytest.mark.parametrize("queue_depth", [2, 8])
-    def test_invariant_to_queue_depth(self, qamc, reference, queue_depth):
-        self.assert_identical(
-            self.serve(qamc, max_batch=64, queue_depth=queue_depth, retrain_workers=0),
-            reference,
-        )
-
-    def test_invariant_to_worker_threads(self, qamc, reference):
-        self.assert_identical(
-            self.serve(qamc, max_batch=64, queue_depth=4, retrain_workers=2),
-            reference,
-        )
-
-    @pytest.mark.parametrize(
-        "weights",
-        [
-            [1.0, 2.0, 0.5, 3.0, 1.0, 4.0],
-            [4.0] * 6,
-            [0.5] * 6,
-        ],
-    )
-    def test_invariant_to_scheduler_weights(self, qamc, reference, weights):
-        """Weights change when frames are served, never what they contain:
-        multi-frame rounds are served in waves that replay per-frame state
-        updates in the session's own frame order."""
-        self.assert_identical(
-            self.serve(
-                qamc, max_batch=64, queue_depth=8, retrain_workers=0, weights=weights
-            ),
-            reference,
-        )
-
-
 class TestLatencyTelemetry:
     def test_histogram_buckets_mean_and_quantiles(self):
         h = LatencyHistogram()
@@ -482,3 +330,32 @@ class TestEngineApi:
             SessionConfig(track_attempts=-1)
         with pytest.raises(ValueError):
             SessionConfig(track_residual=0.0)
+
+
+class TestControlPlaneDeterminism:
+    """σ² trajectories and tier timelines of the tracking fleet are
+    invariant to batch width, queue depth, workers and scheduler weights."""
+
+    def test_scenario_exercises_both_tiers(self):
+        assert_scenario_fires(TRACK)
+
+    @pytest.mark.parametrize("max_batch", [2, 64])
+    def test_invariant_to_micro_batch_width(self, max_batch):
+        check(Draw(TRACK, max_batch=max_batch, queue_depth=1))
+
+    @pytest.mark.parametrize("queue_depth", [2, 8])
+    def test_invariant_to_queue_depth(self, queue_depth):
+        check(Draw(TRACK, max_batch=64, queue_depth=queue_depth))
+
+    def test_invariant_to_worker_threads(self):
+        check(Draw(TRACK, max_batch=64, queue_depth=4, workers=2))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(1.0, 2.0, 0.5, 3.0, 1.0, 4.0), (4.0,) * 6, (0.5,) * 6],
+    )
+    def test_invariant_to_scheduler_weights(self, weights):
+        """Weights change when frames are served, never what they contain:
+        multi-frame rounds are served in waves that replay per-frame state
+        updates in the session's own frame order."""
+        check(Draw(TRACK, max_batch=64, queue_depth=8, weights=weights))

@@ -1,307 +1,60 @@
-"""Serving determinism: outputs are a pure function of the traffic seed.
+"""Serving determinism: per-session outputs are a pure function of the
+session's own traffic — invariant to micro-batch width, queue depth,
+retrain worker threads and the other sessions sharing the engine — for
+plain and coded sessions alike.
 
-The contract (mirroring the worker-invariance of ``simulate_ber`` /
-``sweep_ber``): with fixed-seed traffic, every session's LLR stream and
-trigger timeline are identical regardless of
-
-* micro-batch width (``max_batch`` — who gets coalesced with whom),
-* queue depth (how backpressure paces the producer),
-* retrain worker count (0 = inline reference, N threads = background),
-* which *other* sessions exist in the engine.
-
-Batching shares only the kernels' distance stage (rows bit-identical on the
-default tier) and a retraining session is never served by stale centroids,
-so none of these knobs may change a single bit.
+Each pinned point is served through ``oracle.check`` and compared with the
+one sequential oracle (``oracle.py``); ``test_differential.py`` draws the
+rest of the knob product at random.
 """
 
-import numpy as np
 import pytest
 
-from repro.channels import sigma2_from_snr
-from repro.channels.factories import AWGNFactory, CompositeFactory, PhaseOffsetFactory
-from repro.extraction import HybridDemapper
-from repro.extraction.monitor import PilotBERMonitor
-from repro.link.frames import FrameConfig
-from repro.modulation import qam_constellation
-from repro.serving import (
-    CodedFrameConfig,
-    EngineConfig,
-    ServingEngine,
-    SessionConfig,
-    SteadyChannel,
-    SteppedChannel,
-    build_fleet,
-    generate_traffic,
-    run_load,
-)
-
-SIGMA2 = sigma2_from_snr(8.0, 4)
-FC = FrameConfig(pilot_symbols=16, payload_symbols=48)
-N_SESSIONS = 6
-N_FRAMES = 10
-OFFSET = np.pi / 4
-
-
-class RotatePolicy:
-    """Deterministic-in-rng retrain stand-in: rotate centroids by the true
-    offset plus an rng-drawn jitter (so a worker-scheduling bug that reused
-    or reordered job generators would change the output)."""
-
-    def __init__(self, qam):
-        self.qam = qam
-
-    def __call__(self, rng):
-        angle = OFFSET + rng.normal(scale=1e-3)
-        return HybridDemapper(
-            constellation=type(self.qam)(points=self.qam.points * np.exp(1j * angle)),
-            sigma2=SIGMA2,
-        )
-
-
-def make_traffic(qam, session_ids, *, jump=True, seed=17):
-    """Deterministic per-session traffic; half the fleet sees a phase jump."""
-    chan_clean = SteadyChannel(AWGNFactory(8.0, 4))
-    chan_jump = SteppedChannel(
-        AWGNFactory(8.0, 4),
-        CompositeFactory((PhaseOffsetFactory(OFFSET), AWGNFactory(8.0, 4))),
-        step_seq=4,
-    )
-    rng = np.random.default_rng(seed)
-    traffic = {}
-    for i, sid in enumerate(session_ids):
-        (srng,) = rng.spawn(1)
-        chan = chan_jump if (jump and i % 2 == 0) else chan_clean
-        traffic[sid] = generate_traffic(qam, FC, N_FRAMES, chan, srng)
-    return traffic
-
-
-def serve(qam, *, max_batch, queue_depth, retrain_workers, with_policy=True):
-    """One full serving run; returns (per-session LLR streams, timelines)."""
-    llrs: dict[str, list[np.ndarray]] = {}
-    engine = ServingEngine(config=EngineConfig(
-        max_batch=max_batch,
-        retrain_workers=retrain_workers,
-        on_frame=lambda s, f, block, rep: llrs.setdefault(s.session_id, []).append(
-            block.copy()
-        ),
-    ))
-    sessions = build_fleet(
-        engine,
-        N_SESSIONS,
-        HybridDemapper(constellation=qam, sigma2=SIGMA2),
-        monitor_factory=lambda: PilotBERMonitor(0.12, window=2, cooldown=2),
-        config=SessionConfig(frame=FC, queue_depth=queue_depth),
-        retrain_factory=(lambda i: RotatePolicy(qam)) if with_policy else None,
-        seed=99,
-    )
-    with engine:
-        run_load(engine, make_traffic(qam, [s.session_id for s in sessions]))
-    timelines = {
-        s.session_id: (tuple(s.stats.trigger_seqs), s.stats.retrains) for s in sessions
-    }
-    return llrs, timelines
-
-
-@pytest.fixture(scope="module")
-def qam16():
-    return qam_constellation(16)
-
-
-@pytest.fixture(scope="module")
-def reference(qam16):
-    """Inline-worker, single-frame-batches run — the sequential reference."""
-    return serve(qam16, max_batch=1, queue_depth=1, retrain_workers=0)
-
-
-def assert_identical(run, reference):
-    llrs, timelines = run
-    ref_llrs, ref_timelines = reference
-    assert timelines == ref_timelines
-    assert set(llrs) == set(ref_llrs)
-    for sid in ref_llrs:
-        assert len(llrs[sid]) == len(ref_llrs[sid]) == N_FRAMES
-        for got, ref in zip(llrs[sid], ref_llrs[sid]):
-            assert np.array_equal(got, ref)
+from oracle import PLAIN, PLAIN_CODED, Draw, assert_scenario_fires, check
 
 
 class TestServingDeterminism:
-    def test_triggers_actually_fire(self, reference):
-        """Sanity: the scenario exercises the adaptation path at all."""
-        _, timelines = reference
-        fired = [sid for sid, (seqs, _) in timelines.items() if seqs]
-        assert len(fired) == N_SESSIONS // 2  # the jump half
+    def test_triggers_actually_fire(self):
+        assert_scenario_fires(PLAIN)
 
     @pytest.mark.parametrize("max_batch", [2, 3, 64])
-    def test_invariant_to_micro_batch_width(self, qam16, reference, max_batch):
-        assert_identical(
-            serve(qam16, max_batch=max_batch, queue_depth=1, retrain_workers=0),
-            reference,
-        )
+    def test_invariant_to_micro_batch_width(self, max_batch):
+        check(Draw(PLAIN, max_batch=max_batch, queue_depth=1))
 
     @pytest.mark.parametrize("queue_depth", [2, 4, 16])
-    def test_invariant_to_queue_depth(self, qam16, reference, queue_depth):
-        assert_identical(
-            serve(qam16, max_batch=64, queue_depth=queue_depth, retrain_workers=0),
-            reference,
-        )
+    def test_invariant_to_queue_depth(self, queue_depth):
+        check(Draw(PLAIN, max_batch=64, queue_depth=queue_depth))
 
     @pytest.mark.parametrize("retrain_workers", [1, 2, 4])
-    def test_invariant_to_worker_threads(self, qam16, reference, retrain_workers):
-        assert_identical(
-            serve(
-                qam16, max_batch=64, queue_depth=4, retrain_workers=retrain_workers
-            ),
-            reference,
-        )
+    def test_invariant_to_worker_threads(self, retrain_workers):
+        check(Draw(PLAIN, max_batch=64, queue_depth=4, workers=retrain_workers))
 
-    def test_repeated_run_is_identical(self, qam16, reference):
-        assert_identical(
-            serve(qam16, max_batch=1, queue_depth=1, retrain_workers=0), reference
-        )
+    def test_repeated_run_is_identical(self):
+        """A fresh run in the oracle's own configuration reproduces it."""
+        check(Draw(PLAIN, max_batch=1, queue_depth=1))
 
-    def test_unrelated_sessions_do_not_perturb(self, qam16):
-        """A session's outputs don't depend on who else shares the engine."""
-
-        def run_with(extra_sessions):
-            llrs = {}
-            engine = ServingEngine(config=EngineConfig(
-                max_batch=64,
-                on_frame=lambda s, f, block, rep: llrs.setdefault(
-                    s.session_id, []
-                ).append(block.copy()),
-            ))
-            hybrid = HybridDemapper(constellation=qam16, sigma2=SIGMA2)
-            sessions = build_fleet(
-                engine,
-                1 + extra_sessions,
-                hybrid,
-                monitor_factory=lambda: PilotBERMonitor(0.12, window=2),
-                config=SessionConfig(frame=FC, queue_depth=4),
-                seed=5,
-            )
-            # the watched session's traffic is the same in both runs
-            traffic = {
-                sessions[0].session_id: generate_traffic(
-                    qam16, FC, 4, SteadyChannel(AWGNFactory(8.0, 4)), 123
-                )
-            }
-            for s in sessions[1:]:
-                traffic[s.session_id] = generate_traffic(
-                    qam16, FC, 4, SteadyChannel(AWGNFactory(2.0, 4)), 321
-                )
-            run_load(engine, traffic)
-            return llrs[sessions[0].session_id]
-
-        alone = run_with(0)
-        crowded = run_with(7)
-        assert len(alone) == len(crowded) == 4
-        for a, c in zip(alone, crowded):
-            assert np.array_equal(a, c)
-
-
-# -- coded traffic ------------------------------------------------------------
-
-#: fast-firing CRC monitor so the payload-aware trigger path is exercised
-CODED = CodedFrameConfig(crc_fail_window=2, crc_fail_cooldown=2)
-
-
-def serve_coded(qam, *, max_batch, queue_depth, retrain_workers):
-    """One coded serving run; returns per-session decoded timelines.
-
-    The timeline pins every decoded-bit-derived output: per-frame
-    ``(seq, crc_ok, post_fec_ber)`` reports (post-FEC BER is an exact
-    function of the decoded bits vs the transmitted info bits), the
-    CRC-failure sequence numbers, FER, and the trigger timeline.
-    """
-    reports: dict[str, list] = {}
-    engine = ServingEngine(config=EngineConfig(
-        max_batch=max_batch,
-        retrain_workers=retrain_workers,
-        on_frame=lambda s, f, block, rep: reports.setdefault(
-            s.session_id, []
-        ).append((rep.seq, rep.crc_ok, rep.post_fec_ber)),
-    ))
-    sessions = build_fleet(
-        engine,
-        N_SESSIONS,
-        HybridDemapper(constellation=qam, sigma2=SIGMA2),
-        monitor_factory=lambda: PilotBERMonitor(0.12, window=2, cooldown=2),
-        config=SessionConfig(frame=FC, queue_depth=queue_depth, coded=CODED),
-        retrain_factory=lambda i: RotatePolicy(qam),
-        seed=99,
-    )
-    traffic = {}
-    rng = np.random.default_rng(31)
-    chan_clean = SteadyChannel(AWGNFactory(8.0, 4))
-    chan_jump = SteppedChannel(
-        AWGNFactory(8.0, 4),
-        CompositeFactory((PhaseOffsetFactory(OFFSET), AWGNFactory(8.0, 4))),
-        step_seq=4,
-    )
-    for i, s in enumerate(sessions):
-        (srng,) = rng.spawn(1)
-        chan = chan_jump if i % 2 == 0 else chan_clean
-        traffic[s.session_id] = generate_traffic(
-            qam, FC, N_FRAMES, chan, srng, coded=CODED
-        )
-    with engine:
-        run_load(engine, traffic)
-    timelines = {}
-    for s in sessions:
-        st = s.stats
-        timelines[s.session_id] = (
-            tuple(reports[s.session_id]),
-            tuple(st.trigger_seqs),
-            st.retrains,
-            st.frames_decoded,
-            st.crc_failures,
-            tuple(st.crc_fail_seqs),
-            tuple(st.post_fec_ber_trajectory),
-            st.frame_error_rate,
-        )
-    return timelines
-
-
-@pytest.fixture(scope="module")
-def coded_reference(qam16):
-    """Sequential coded reference: inline workers, single-frame batches."""
-    return serve_coded(qam16, max_batch=1, queue_depth=1, retrain_workers=0)
+    def test_unrelated_sessions_do_not_perturb(self):
+        """Extra sessions joining, leaving and faulting around the core
+        fleet change none of its outputs."""
+        check(Draw(PLAIN, churn=7))
+        check(Draw(PLAIN, faults=True))
 
 
 class TestCodedServingDeterminism:
-    """Coded sessions inherit the determinism contract unchanged: the
-    decoded-bit timeline (post-FEC BER per frame), CRC-failure seqs, FER
-    and trigger timeline are a pure function of the traffic seed,
-    regardless of micro-batch width, queue depth or worker count."""
+    """Decoded-bit timelines (CRC verdicts, post-FEC BER) and the trigger
+    timeline of coded sessions obey the same contract."""
 
-    def test_coded_path_actually_exercised(self, coded_reference):
-        """Sanity: the jump half fails CRCs and fires the ladder; the
-        clean half decodes everything (coverage of both trigger legs)."""
-        jump = [t for i, t in enumerate(coded_reference.values()) if i % 2 == 0]
-        clean = [t for i, t in enumerate(coded_reference.values()) if i % 2 == 1]
-        for (_, triggers, _, decoded, failures, fail_seqs, traj, fer) in jump:
-            assert decoded == N_FRAMES and failures > 0 and triggers
-            assert len(fail_seqs) == failures and fer == failures / decoded
-            assert len(traj) == N_FRAMES
-        for (_, _, _, decoded, failures, fail_seqs, traj, fer) in clean:
-            assert decoded == N_FRAMES and failures == 0 and not fail_seqs
-            assert fer == 0.0 and all(b == 0.0 for b in traj)
+    def test_coded_path_actually_exercised(self):
+        assert_scenario_fires(PLAIN_CODED)
 
     @pytest.mark.parametrize("max_batch", [2, 3, 64])
-    def test_invariant_to_micro_batch_width(self, qam16, coded_reference, max_batch):
-        got = serve_coded(qam16, max_batch=max_batch, queue_depth=1, retrain_workers=0)
-        assert got == coded_reference
+    def test_invariant_to_micro_batch_width(self, max_batch):
+        check(Draw(PLAIN_CODED, max_batch=max_batch, queue_depth=1))
 
     @pytest.mark.parametrize("queue_depth", [4, 16])
-    def test_invariant_to_queue_depth(self, qam16, coded_reference, queue_depth):
-        got = serve_coded(
-            qam16, max_batch=64, queue_depth=queue_depth, retrain_workers=0
-        )
-        assert got == coded_reference
+    def test_invariant_to_queue_depth(self, queue_depth):
+        check(Draw(PLAIN_CODED, max_batch=64, queue_depth=queue_depth))
 
     @pytest.mark.parametrize("retrain_workers", [1, 4])
-    def test_invariant_to_worker_threads(self, qam16, coded_reference, retrain_workers):
-        got = serve_coded(
-            qam16, max_batch=64, queue_depth=4, retrain_workers=retrain_workers
-        )
-        assert got == coded_reference
+    def test_invariant_to_worker_threads(self, retrain_workers):
+        check(Draw(PLAIN_CODED, max_batch=64, queue_depth=4, workers=retrain_workers))

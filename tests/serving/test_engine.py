@@ -8,7 +8,6 @@ from repro.channels.factories import AWGNFactory, CompositeFactory, PhaseOffsetF
 from repro.extraction import HybridDemapper
 from repro.extraction.monitor import PilotBERMonitor
 from repro.link.frames import FrameConfig, frame_bers
-from repro.modulation import qam_constellation
 from repro.serving import (
     EngineConfig,
     ServingEngine,
@@ -22,11 +21,6 @@ from repro.serving import (
 
 SIGMA2 = sigma2_from_snr(8.0, 4)
 FC = FrameConfig(pilot_symbols=16, payload_symbols=48)
-
-
-@pytest.fixture
-def qam16():
-    return qam_constellation(16)
 
 
 def fleet(engine, qam, n_sessions, *, retrain_factory=None, queue_depth=4, monitor=None):

@@ -16,12 +16,15 @@ Five layers of coverage:
 * **degraded serving** — a session whose retrains keep failing (or
   hanging) ends up DEGRADED: still serving every frame on its last-good
   demapper, triggers suppressed, never paused forever;
-* **chaos soak + fault isolation** — the PR 5 churn soak extended with a
-  seeded :class:`FaultPlan` storm (retrain exceptions, hangs, poison
-  frames): the engine never raises, ``accepted == served + dropped +
-  quarantined (+ pending)`` every round, and fault-free sessions'
-  LLR/σ²/trigger/tier timelines are bit-identical to a no-fault run at
-  every batch width and worker count.
+* **chaos soak** — the churn soak extended with a seeded
+  :class:`FaultPlan` storm (retrain exceptions, hangs, poison frames): the
+  engine never raises and ``accepted == served + dropped + quarantined
+  (+ pending)`` every round.
+
+Fault isolation — fault-free sessions' timelines are bit-identical to a
+no-fault run — is checked against the sequential oracle (``oracle.py``):
+at the points pinned in :class:`TestFaultIsolation`, and at random draws
+in ``test_differential.py``.
 """
 
 import threading
@@ -32,26 +35,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channels import sigma2_from_snr
-from repro.channels.factories import (
-    AWGNFactory,
-    CompositeFactory,
-    IQImbalanceFactory,
-    PhaseOffsetFactory,
+from oracle import (
+    S10,
+    TRACK,
+    Draw,
+    RotateStub,
+    assert_scenario_fires,
+    check,
+    churn_soak,
+    clean_traffic,
+    jump_traffic,
+    make_session,
+    warp_traffic,
 )
 from repro.extraction import HybridDemapper
-from repro.extraction.monitor import PilotBERMonitor
-from repro.link.frames import FrameConfig
-from repro.modulation import qam_constellation
 from repro.serving import (
     DEGRADED,
     EngineConfig,
     HEALTHY,
     QUARANTINED,
-    RETRAINING,
     SERVING,
     CodedFrameConfig,
-    DemapperSession,
     FaultPlan,
     FleetFrontEnd,
     InjectedRetrainError,
@@ -61,81 +65,12 @@ from repro.serving import (
     RetrainWorker,
     ServingEngine,
     ServingFrame,
-    SessionConfig,
-    SteadyChannel,
-    SteppedChannel,
     Tracer,
-    generate_traffic,
     run_fleet_load,
+    run_load,
 )
 
-S10 = sigma2_from_snr(10.0, 4)
-FC = FrameConfig(pilot_symbols=8, payload_symbols=24)
-OFFSET = np.pi / 4
 CODED = CodedFrameConfig()  # K=3 (7,5), CRC-16: 24 info bits in this FC
-
-
-@pytest.fixture(scope="module")
-def qam16():
-    return qam_constellation(16)
-
-
-class RotateStub:
-    """Deterministic-in-rng retrain stand-in (same canary as the churn
-    suite): corrected centroids plus an rng-drawn jitter."""
-
-    def __init__(self, qam, angle=OFFSET):
-        self.qam = qam
-        self.angle = angle
-
-    def __call__(self, rng):
-        angle = self.angle + rng.normal(scale=1e-3)
-        return HybridDemapper(
-            constellation=type(self.qam)(points=self.qam.points * np.exp(1j * angle)),
-            sigma2=S10,
-        )
-
-
-def make_session(qam, sid, *, seed=0, queue_depth=4, retrain=None, weight=1.0,
-                 threshold=0.9, tracking=False, validate=False, coded=None):
-    return DemapperSession(
-        sid,
-        HybridDemapper(constellation=qam, sigma2=S10),
-        PilotBERMonitor(threshold, window=2, cooldown=2),
-        config=SessionConfig(
-            frame=FC, queue_depth=queue_depth, weight=weight,
-            sigma2_alpha=0.25, tracking=tracking, validate_frames=validate,
-            coded=coded,
-        ),
-        retrain=retrain,
-        rng=seed,
-    )
-
-
-def clean_traffic(qam, n_frames, seed, *, snr=10.0, coded=None):
-    return generate_traffic(
-        qam, FC, n_frames, SteadyChannel(AWGNFactory(snr, 4)), seed, coded=coded
-    )
-
-
-def jump_traffic(qam, n_frames, seed, *, step=4, coded=None):
-    chan = SteppedChannel(
-        AWGNFactory(10.0, 4),
-        CompositeFactory((PhaseOffsetFactory(OFFSET), AWGNFactory(10.0, 4))),
-        step_seq=step,
-    )
-    return generate_traffic(qam, FC, n_frames, chan, seed, coded=coded)
-
-
-def warp_traffic(qam, n_frames, seed, *, step=4):
-    """Jump into a non-rigid IQ warp: rigid tracking cannot explain it,
-    so a tracking session escalates to the retrain tier."""
-    chan = SteppedChannel(
-        AWGNFactory(10.0, 4),
-        CompositeFactory((IQImbalanceFactory(8.0, 0.8), AWGNFactory(10.0, 4))),
-        step_seq=step,
-    )
-    return generate_traffic(qam, FC, n_frames, chan, seed)
 
 
 def poison_frame(frame, pos=0):
@@ -501,6 +436,38 @@ class TestDegradedServing:
         assert [r["action"] for r in snap["failure_log"]] == ["retry", "degrade"]
         engine.close()
 
+    def test_inline_outcomes_reach_the_supervisor_between_waves(self, qam16):
+        """Weight 4 (four waves a round), inline retrains: a job resolving
+        mid-round is absorbed before the session's next wave.  A failure is
+        logged in its submission round (its backoff counts from there) and
+        the session serves the rest of its quota that round; an install
+        re-arms the retrain tier before the session's next trigger."""
+
+        def boom(rng):
+            raise InjectedRetrainError("boom")
+
+        served = []
+        engine = ServingEngine(config=EngineConfig(
+            supervisor=RetrainSupervisor(max_failures=3, backoff_base=1),
+            on_frame=lambda s, f, llrs, rep: served.append(
+                (engine.telemetry.rounds, s.session_id, f.seq)),
+        ))
+        failing = make_session(qam16, "fail", retrain=boom, weight=4.0,
+                               queue_depth=8, threshold=0.12)
+        warped = make_session(qam16, "warp", seed=101, retrain=RotateStub(qam16),
+                              weight=4.0, queue_depth=8, threshold=0.12, tracking=True)
+        engine.add_session(failing)
+        engine.add_session(warped)
+        with engine:
+            run_load(engine, {"fail": jump_traffic(qam16, 12, 6, step=2),
+                              "warp": warp_traffic(qam16, 8, 201)}, max_rounds=50)
+        assert failing.stats.trigger_seqs[0] == 2  # fails in round 0, wave 2
+        assert [(r.round, r.failures, r.action) for r in engine.telemetry.failure_log] \
+            == [(0, 1, "retry"), (1, 2, "retry")]
+        assert (0, "fail", 3) in served  # resumed within the failing round
+        # one frame a round gives the same ladder: both warps retrain
+        assert warped.stats.tier_timeline == [(5, "retrain"), (7, "retrain")]
+
     def test_trigger_during_backoff_does_not_jump_the_queue(self, qam16):
         """Between failure and retry the session serves and may re-trigger;
         the supervisor must gate those triggers (no double-submit)."""
@@ -631,136 +598,28 @@ class TestDegradedServing:
 # chaos soak: churn + faults, conservation every round
 # ---------------------------------------------------------------------------
 class TestChaosSoak:
-    """The PR 5 churn soak under a seeded fault storm: retrain exceptions,
-    hangs, poison frames.  The engine must never raise; accepted ==
-    served + dropped + quarantined (+ pending) must hold every round."""
-
-    N_ROUNDS = 210
-    MAX_FLEET = 10
+    """The churn soak (``oracle.churn_soak``) under a seeded fault storm:
+    retrain exceptions, hangs, poison frames, coded joiners.  The engine
+    must never raise; accepted == served + dropped + quarantined (+ pending)
+    must hold every round."""
 
     def run_soak(self, qam, seed, *, retrain_workers=0, max_batch=64, tracer=None):
-        rng = np.random.default_rng(seed)
         plan = FaultPlan(
-            seed=seed,
-            fail_rate=0.30,
-            hang_rate=0.10,
-            poison_rate=0.02,
-            blocking_hangs=retrain_workers > 0,
-            hang_timeout=5.0,
+            seed=seed, fail_rate=0.30, hang_rate=0.10, poison_rate=0.02,
+            blocking_hangs=retrain_workers > 0, hang_timeout=5.0,
         )
         engine = ServingEngine(config=EngineConfig(
             max_batch=max_batch,
             retrain_workers=retrain_workers,
             supervisor=RetrainSupervisor(
-                max_failures=2,
-                backoff_base=1,
+                max_failures=2, backoff_base=1,
                 deadline_rounds=8 if retrain_workers else None,
             ),
             tracer=tracer,
         ))
-        accepted: dict[str, int] = {}
-        live: dict[str, dict] = {}
-        all_sessions: list[DemapperSession] = []
-        draining_ids: set[str] = set()
-        hard_removed: list[str] = []
-        next_id = 0
-
-        def join():
-            nonlocal next_id
-            sid = f"c{next_id}"
-            next_id += 1
-            (srng,) = rng.spawn(1)
-            jumpy = rng.random() < 0.5
-            coded = CODED if rng.random() < 0.4 else None
-            session = make_session(
-                qam, sid, seed=int(rng.integers(2**31)), queue_depth=2,
-                retrain=plan.wrap_retrain(sid, RotateStub(qam)) if jumpy else None,
-                threshold=0.12 if jumpy else 0.9,
-                weight=float(rng.choice([0.5, 1.0, 2.0])),
-                coded=coded,
-            )
-            n_frames = int(rng.integers(8, 25))
-            frames = (
-                jump_traffic(qam, n_frames, srng, step=int(rng.integers(2, 6)),
-                             coded=coded)
-                if jumpy else clean_traffic(qam, n_frames, srng, coded=coded)
-            )
-            frames = plan.corrupt_traffic(sid, frames)
-            engine.add_session(session)
-            live[sid] = {"session": session, "frames": frames, "offset": 0}
-            accepted[sid] = 0
-            all_sessions.append(session)
-
-        for _ in range(4):
-            join()
-
-        for r in range(self.N_ROUNDS):
-            op = rng.random()
-            if op < 0.12 and len(live) < self.MAX_FLEET:
-                join()
-            elif op < 0.18 and len(live) > 2:
-                sid = str(rng.choice(sorted(set(live) - draining_ids) or sorted(live)))
-                if sid not in draining_ids:
-                    engine.remove_session(sid, drain=True)
-                    draining_ids.add(sid)
-            elif op < 0.22 and len(live) > 2:
-                sid = str(rng.choice(sorted(live)))
-                engine.remove_session(sid, drain=False)
-                live.pop(sid)
-                draining_ids.discard(sid)
-                hard_removed.append(sid)
-            for sid in sorted(set(live) - draining_ids):
-                entry = live[sid]
-                if entry["session"].health == QUARANTINED:
-                    continue  # fenced off: further submits only count refusals
-                for _ in range(int(rng.integers(0, 4))):
-                    o = entry["offset"]
-                    if o >= len(entry["frames"]):
-                        break
-                    if engine.submit(sid, entry["frames"][o]):
-                        entry["offset"] = o + 1
-                        accepted[sid] += 1
-            engine.step()  # must never raise, whatever the storm does
-            gone = [sid for sid in draining_ids
-                    if all(s.session_id != sid for s in engine.sessions)]
-            for sid in gone:
-                draining_ids.discard(sid)
-                live.pop(sid)
-            # -- invariants, every round --------------------------------------
-            live_ids = {s.session_id for s in engine.sessions}
-            credits = engine.scheduler.credits()
-            assert set(credits) <= live_ids, "credit leaked past a removal"
-            for session in engine.sessions:
-                sid = session.session_id
-                st_ = session.stats
-                assert (
-                    st_.frames_served + st_.frames_dropped
-                    + st_.frames_quarantined + session.pending
-                    == accepted[sid]
-                ), f"conservation broke for {sid} at round {r}"
-                if session.config.coded is not None:
-                    # CRC-fail frames are served-with-decode-failure: every
-                    # served frame was decoded, failures never leave the
-                    # served leg of the ledger (and never join dropped)
-                    assert st_.frames_decoded == st_.frames_served, (
-                        f"decode ledger broke for {sid} at round {r}"
-                    )
-                    assert st_.crc_failures <= st_.frames_decoded
-                    assert len(st_.crc_fail_seqs) == st_.crc_failures
-                else:
-                    assert st_.frames_decoded == 0 and st_.crc_failures == 0
-                if session.health == QUARANTINED:
-                    assert not session.ready
-                    assert sid not in credits
-                if session.health == DEGRADED:
-                    assert session.state == SERVING or session.pending >= 0
-
-        plan.release_hangs()
-        for sid in sorted(set(live) - draining_ids):
-            engine.remove_session(sid, drain=True)
-        engine.drain(max_rounds=10_000, timeout=2.0)
-        engine.close(timeout=5.0)
-        return engine, accepted, all_sessions, plan
+        accepted, sessions, _ = churn_soak(engine, qam, seed, jumpy_rate=0.5,
+                                           coded=CODED, plan=plan)
+        return engine, accepted, sessions, plan
 
     @pytest.mark.parametrize("retrain_workers", [0, 2])
     def test_soak_survives_the_storm_with_conservation(
@@ -869,123 +728,18 @@ class TestChaosSoak:
         assert a == b
 
 
-# ---------------------------------------------------------------------------
-# fault isolation: fault-free sessions bit-identical to a no-fault run
-# ---------------------------------------------------------------------------
 class TestFaultIsolation:
-    """The determinism contract's fault-isolation clause: a fault-free
-    session's LLR stream and σ²/trigger/tier timelines are bit-identical
-    whether or not a fault storm rages around it — at every batch width
-    and worker count."""
+    """The tracking fleet's timelines are bit-identical whether or not a
+    seeded :class:`FaultPlan` storm (failing, hanging and poisoned
+    sessions) shares the engine, at any batch width and worker count."""
 
-    N_FRAMES = 14
-
-    def watch_traffic(self, qam):
-        return jump_traffic(qam, self.N_FRAMES, 4242, step=6)
-
-    def run(self, qam, *, faulted, max_batch=64, retrain_workers=0):
-        llrs: list[np.ndarray] = []
-        engine = ServingEngine(config=EngineConfig(
-            max_batch=max_batch,
-            retrain_workers=retrain_workers,
-            supervisor=RetrainSupervisor(max_failures=2, backoff_base=1),
-            on_frame=lambda s, f, block, rep: (
-                llrs.append(block.copy()) if s.session_id == "watch" else None
-            ),
-        ))
-        plan = FaultPlan(
-            seed=77,
-            fail_sessions=("f-fail",),
-            hang_sessions=("f-hang",),
-            poison_sessions=("f-poison",),
-            poison_rate=0.35,
-            blocking_hangs=retrain_workers > 0,
-            hang_timeout=1.0,
-        )
-        watch = make_session(
-            qam, "watch", seed=1234, queue_depth=3,
-            retrain=RotateStub(qam), threshold=0.12, tracking=True,
-        )
-        engine.add_session(watch)
-        storm: dict[str, list] = {}
-        for sid in ("f-fail", "f-hang", "f-poison", "f-clean"):
-            retrain = RotateStub(qam) if sid != "f-poison" else None
-            if faulted:
-                retrain = plan.wrap_retrain(sid, retrain)
-            engine.add_session(
-                make_session(
-                    qam, sid, seed=hash(sid) % 2**31, queue_depth=3,
-                    retrain=retrain, threshold=0.12,
-                )
-            )
-            frames = jump_traffic(qam, 18, abs(hash(sid)) % 2**31, step=3)
-            if faulted:
-                frames = plan.corrupt_traffic(sid, frames)
-            storm[sid] = [frames, 0]
-        frames = self.watch_traffic(qam)
-        offset = 0
-        guard = 0
-        while watch.stats.frames_served < self.N_FRAMES:
-            guard += 1
-            assert guard < 2000, "watched session starved"
-            for sid, entry in storm.items():
-                if engine.session(sid).health == QUARANTINED:
-                    continue
-                while entry[1] < len(entry[0]) and engine.submit(
-                    sid, entry[0][entry[1]]
-                ):
-                    entry[1] += 1
-            while offset < len(frames) and engine.submit("watch", frames[offset]):
-                offset += 1
-            engine.step()
-            if watch.state == RETRAINING and engine.worker.pending:
-                # poll-wait for the watch swap without blocking on a
-                # possibly-hung storm job
-                time.sleep(0.002)
-        plan.release_hangs()
-        engine.close(timeout=5)
-        if faulted:
-            assert engine.telemetry.retrain_failures > 0, "storm was a no-op"
-            assert engine.telemetry.sessions_quarantined >= 1
-        timeline = (
-            tuple(watch.stats.trigger_seqs),
-            tuple(watch.stats.tier_timeline),
-            tuple(watch.stats.sigma2_trajectory),
-            watch.stats.retrains,
-            watch.stats.tracks,
-            tuple(watch.stats.health_timeline),
-        )
-        return llrs, timeline
-
-    @pytest.fixture(scope="class")
-    def reference(self, qam16):
-        """The same fleet, no faults, sequential batches, inline worker."""
-        return self.run(qam16, faulted=False, max_batch=1)
-
-    def assert_identical(self, run, reference):
-        llrs, timeline = run
-        ref_llrs, ref_timeline = reference
-        assert timeline == ref_timeline
-        assert len(llrs) == len(ref_llrs) == self.N_FRAMES
-        for got, ref in zip(llrs, ref_llrs):
-            assert np.array_equal(got, ref)
-
-    def test_reference_scenario_adapts(self, reference):
-        _, timeline = reference
-        assert timeline[0], "watched session's monitor never fired"
-        assert timeline[5] == (), "watched session must stay HEALTHY"
+    def test_reference_scenario_adapts(self):
+        assert_scenario_fires(TRACK)
 
     @pytest.mark.parametrize("max_batch", [1, 64])
-    def test_invariant_to_fault_storm(self, qam16, reference, max_batch):
-        self.assert_identical(
-            self.run(qam16, faulted=True, max_batch=max_batch), reference
-        )
+    def test_invariant_to_fault_storm(self, max_batch):
+        check(Draw(TRACK, faults=True, max_batch=max_batch))
 
     @pytest.mark.parametrize("retrain_workers", [2])
-    def test_invariant_to_worker_count_under_faults(
-        self, qam16, reference, retrain_workers
-    ):
-        self.assert_identical(
-            self.run(qam16, faulted=True, retrain_workers=retrain_workers),
-            reference,
-        )
+    def test_invariant_to_worker_count_under_faults(self, retrain_workers):
+        check(Draw(TRACK, faults=True, workers=retrain_workers))

@@ -1,169 +1,55 @@
 """Fleet front-end: sharding, affinity placement, live migration, config API.
 
-The determinism contract one level up: a session's LLR/trigger/σ²/tier
-timelines are a pure function of its own frame order, so they are
-bit-identical at any shard count {1, 2, 4}, any placement seed and any
-migration schedule.  Plus the API surface: the frozen ``EngineConfig``
-construction path, the curated ``from repro.serving import *`` surface,
-and the one ``SCHEMA_VERSION`` across every serving snapshot.
+Placement, migration mechanics, the fleet load driver and merged
+telemetry, plus the API surface: the frozen ``EngineConfig`` construction
+path, the curated ``from repro.serving import *`` surface, and the one
+``SCHEMA_VERSION`` across every serving snapshot.  That a session's
+timelines are bit-identical at any shard count, placement seed, migration
+schedule and with threaded stepping is checked against the sequential
+oracle (``oracle.py``): at the points pinned below, and at random draws in
+``test_differential.py``.
 """
 
 import os
 import subprocess
 import sys
 import threading
-import warnings
 
-import numpy as np
 import pytest
 
-from repro.channels import sigma2_from_snr
-from repro.channels.factories import AWGNFactory, CompositeFactory, PhaseOffsetFactory
+from oracle import (
+    FC,
+    FLEET,
+    FLEET_CODED,
+    N_FRAMES,
+    N_SESSIONS,
+    S10,
+    Draw,
+    assert_scenario_fires,
+    check,
+    clean_traffic,
+    constellation_groups,
+    make_session,
+    oracle,
+    run,
+)
 from repro.extraction import HybridDemapper
-from repro.extraction.monitor import PilotBERMonitor
-from repro.link.frames import FrameConfig
-from repro.modulation import qam_constellation
 from repro.serving import (
     DEGRADED,
     QUARANTINED,
     SCHEMA_VERSION,
     SERVING,
-    CodedFrameConfig,
-    DemapperSession,
     EngineConfig,
     FleetFrontEnd,
-    MetricsRegistry,
     MigrationPlan,
     RetrainSupervisor,
     ServingEngine,
-    SessionConfig,
-    generate_traffic,
+    ServingFrame,
     run_fleet_load,
 )
-from repro.serving.loadgen import SteadyChannel, SteppedChannel
 from repro.serving.obs_report import export_run
 
-SIGMA2 = sigma2_from_snr(8.0, 4)
-FC = FrameConfig(pilot_symbols=16, payload_symbols=48)
-N_SESSIONS = 8
-N_GROUPS = 4
-N_FRAMES = 8
-OFFSET = np.pi / 4
-
-
-class RotatePolicy:
-    """Deterministic-in-rng retrain stand-in (see test_determinism)."""
-
-    def __init__(self, qam):
-        self.qam = qam
-
-    def __call__(self, rng):
-        angle = OFFSET + rng.normal(scale=1e-3)
-        return HybridDemapper(
-            constellation=type(self.qam)(points=self.qam.points * np.exp(1j * angle)),
-            sigma2=SIGMA2,
-        )
-
-
-@pytest.fixture(scope="module")
-def qam_groups():
-    """Four distinct centroid sets — four affinity-placement keys."""
-    base = qam_constellation(16)
-    return tuple(
-        type(base)(points=base.points * np.exp(1j * g * 0.03)) for g in range(N_GROUPS)
-    )
-
-
-def build_sessions(qam_groups, *, with_policy=True, seed=99):
-    """N sessions striped across the constellation groups."""
-    master = np.random.default_rng(seed)
-    sessions = []
-    for i in range(N_SESSIONS):
-        (srng,) = master.spawn(1)
-        qam = qam_groups[i % N_GROUPS]
-        sessions.append(
-            DemapperSession(
-                f"s{i:03d}",
-                HybridDemapper(constellation=qam, sigma2=SIGMA2),
-                PilotBERMonitor(0.12, window=2, cooldown=2),
-                config=SessionConfig(frame=FC, queue_depth=4),
-                retrain=RotatePolicy(qam) if with_policy else None,
-                rng=srng,
-            )
-        )
-    return sessions
-
-
-def make_traffic(qam_groups, session_ids, *, seed=17):
-    """Deterministic per-session traffic; half the fleet sees a phase jump."""
-    chan_clean = SteadyChannel(AWGNFactory(8.0, 4))
-    chan_jump = SteppedChannel(
-        AWGNFactory(8.0, 4),
-        CompositeFactory((PhaseOffsetFactory(OFFSET), AWGNFactory(8.0, 4))),
-        step_seq=4,
-    )
-    rng = np.random.default_rng(seed)
-    traffic = {}
-    for i, sid in enumerate(session_ids):
-        (srng,) = rng.spawn(1)
-        chan = chan_jump if i % 2 == 0 else chan_clean
-        traffic[sid] = generate_traffic(qam_groups[i % N_GROUPS], FC, N_FRAMES, chan, srng)
-    return traffic
-
-
-def fleet_serve(
-    qam_groups,
-    *,
-    n_shards,
-    placement_seed=0,
-    migrations=(),
-    parallel=False,
-):
-    """One full fleet run; returns (per-session LLRs, timelines, fleet stats)."""
-    llrs: dict[str, list[np.ndarray]] = {}
-
-    def on_frame(s, f, block, rep):
-        llrs.setdefault(s.session_id, []).append(block.copy())
-
-    fleet = FleetFrontEnd(
-        n_shards,
-        config_factory=lambda i: EngineConfig(max_batch=64, on_frame=on_frame),
-        placement_seed=placement_seed,
-        parallel=parallel,
-    )
-    sessions = build_sessions(qam_groups)
-    for s in sessions:
-        fleet.add_session(s)
-    traffic = make_traffic(qam_groups, [s.session_id for s in sessions])
-    with fleet:
-        stats = run_fleet_load(fleet, traffic, migrations=migrations, max_rounds=500)
-    timelines = {
-        s.session_id: (
-            tuple(s.stats.trigger_seqs),
-            s.stats.retrains,
-            tuple(s.stats.tier_timeline),
-            tuple(s.stats.sigma2_trajectory),
-        )
-        for s in sessions
-    }
-    return llrs, timelines, stats
-
-
-def assert_identical(run, reference):
-    llrs, timelines, _ = run
-    ref_llrs, ref_timelines, _ = reference
-    assert timelines == ref_timelines
-    assert set(llrs) == set(ref_llrs)
-    for sid in ref_llrs:
-        assert len(llrs[sid]) == len(ref_llrs[sid]) == N_FRAMES
-        for got, ref in zip(llrs[sid], ref_llrs[sid]):
-            assert np.array_equal(got, ref)
-
-
-@pytest.fixture(scope="module")
-def reference(qam_groups):
-    """The single-shard run every other placement must reproduce."""
-    return fleet_serve(qam_groups, n_shards=1)
+GROUPS = constellation_groups(4)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +57,6 @@ def reference(qam_groups):
 
 
 class TestEngineConfig:
-    def test_config_path_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ServingEngine(config=EngineConfig(max_batch=4)).close()
-            ServingEngine().close()  # all-defaults path is the config path
-
     def test_config_is_the_only_constructor_path(self):
         with pytest.raises(TypeError):
             ServingEngine(max_batch=4)
@@ -246,9 +126,9 @@ class TestPackageSurface:
 
 
 class TestSchemaUnification:
-    def test_one_schema_constant_everywhere(self, qam_groups):
+    def test_one_schema_constant_everywhere(self):
         engine = ServingEngine(config=EngineConfig(max_batch=4))
-        session = build_sessions(qam_groups, with_policy=False)[0]
+        session = FLEET.sessions(queue_depth=4, retrain=False)[0]
         engine.add_session(session)
         doc = export_run(engine)
         assert engine.telemetry.snapshot()["schema"] == SCHEMA_VERSION
@@ -268,34 +148,34 @@ class TestSchemaUnification:
 
 
 class TestPlacement:
-    def test_shared_constellation_lands_on_one_shard(self, qam_groups):
+    def test_shared_constellation_lands_on_one_shard(self):
         with FleetFrontEnd(4, config=EngineConfig(), parallel=False) as fleet:
-            sessions = build_sessions(qam_groups, with_policy=False)
+            sessions = FLEET.sessions(queue_depth=4, retrain=False)
             for s in sessions:
                 fleet.add_session(s)
             by_group: dict[int, set[int]] = {}
             for i, s in enumerate(sessions):
-                by_group.setdefault(i % N_GROUPS, set()).add(
+                by_group.setdefault(i % len(GROUPS), set()).add(
                     fleet.shard_of(s.session_id)
                 )
             for group, shards in by_group.items():
                 assert len(shards) == 1, f"group {group} split across {shards}"
 
-    def test_distinct_constellations_spread(self, qam_groups):
+    def test_distinct_constellations_spread(self):
         """Some placement seed spreads 4 groups over more than one shard."""
         for seed in range(8):
             fleet = FleetFrontEnd(
                 4, config=EngineConfig(), placement_seed=seed, parallel=False
             )
-            sessions = build_sessions(qam_groups, with_policy=False)
+            sessions = FLEET.sessions(queue_depth=4, retrain=False)
             shards = {fleet.place(s) for s in sessions}
             fleet.close()
             if len(shards) > 1:
                 return
         pytest.fail("no placement seed in range(8) spread the groups at all")
 
-    def test_placement_seed_reshuffles(self, qam_groups):
-        sessions = build_sessions(qam_groups, with_policy=False)
+    def test_placement_seed_reshuffles(self):
+        sessions = FLEET.sessions(queue_depth=4, retrain=False)
         placements = set()
         for seed in range(8):
             fleet = FleetFrontEnd(
@@ -305,16 +185,16 @@ class TestPlacement:
             fleet.close()
         assert len(placements) > 1
 
-    def test_explicit_shard_override_and_bounds(self, qam_groups):
+    def test_explicit_shard_override_and_bounds(self):
         with FleetFrontEnd(2, config=EngineConfig(), parallel=False) as fleet:
-            session = build_sessions(qam_groups, with_policy=False)[0]
+            session = FLEET.sessions(queue_depth=4, retrain=False)[0]
             fleet.add_session(session, shard=1)
             assert fleet.shard_of(session.session_id) == 1
             assert fleet.session(session.session_id) is session
             assert fleet.has_session(session.session_id)
             with pytest.raises(ValueError, match="duplicate"):
                 fleet.add_session(session)
-            other = build_sessions(qam_groups, with_policy=False, seed=7)[1]
+            other = FLEET.sessions(queue_depth=4, retrain=False)[1]
             with pytest.raises(ValueError, match="shard must be"):
                 fleet.add_session(other, shard=5)
             with pytest.raises(KeyError):
@@ -334,62 +214,75 @@ class TestPlacement:
 
 
 # ---------------------------------------------------------------------------
-# The tentpole invariance: shard count x placement seed x migration schedule
+# Placement invariance: pinned points checked against the sequential oracle
+
+FLEET_MIGRATIONS = (
+    MigrationPlan("s000", round=1, dest_shard=3),
+    MigrationPlan("s003", round=2, dest_shard=0),
+    MigrationPlan("s000", round=4, dest_shard=1),
+    MigrationPlan("s005", round=3, dest_shard=2),
+)
+CODED_MIGRATIONS = (
+    MigrationPlan("s000", round=1, dest_shard=2),
+    MigrationPlan("s003", round=2, dest_shard=0),
+    MigrationPlan("s000", round=4, dest_shard=1),
+)
 
 
 class TestPlacementInvariance:
     @pytest.mark.parametrize("n_shards", [2, 4])
     @pytest.mark.parametrize("placement_seed", [0, 3])
-    def test_invariant_to_shard_count_and_placement(
-        self, qam_groups, reference, n_shards, placement_seed
-    ):
-        assert_identical(
-            fleet_serve(
-                qam_groups, n_shards=n_shards, placement_seed=placement_seed
-            ),
-            reference,
+    def test_invariant_to_shard_count_and_placement(self, n_shards, placement_seed):
+        check(Draw(FLEET, shards=n_shards, placement_seed=placement_seed))
+
+    def test_invariant_to_migration_schedule(self):
+        stats = check(Draw(FLEET, shards=4, migrations=FLEET_MIGRATIONS))
+        assert stats.migrations_in == len(FLEET_MIGRATIONS)
+
+    def test_parallel_stepping_matches_reference(self):
+        check(Draw(FLEET, shards=2, parallel=True))
+
+    def test_triggers_actually_fire(self):
+        assert_scenario_fires(FLEET)
+
+
+class TestCodedFleetInvariance:
+    """Decoded-bit timelines are invariant to shard count, placement seed
+    and a mid-run migration schedule."""
+
+    def test_coded_path_exercised_and_merged(self):
+        assert_scenario_fires(FLEET_CODED)
+        stats = check(Draw(FLEET_CODED, shards=2))
+        assert stats.frames_decoded == FLEET_CODED.n_coded * N_FRAMES
+        assert stats.crc_failures == sum(
+            len(t.crc_fails) for t in oracle(FLEET_CODED).values()
         )
 
-    def test_invariant_to_migration_schedule(self, qam_groups, reference):
-        migrations = [
-            MigrationPlan("s000", round=1, dest_shard=3),
-            MigrationPlan("s003", round=2, dest_shard=0),
-            MigrationPlan("s000", round=4, dest_shard=1),
-            MigrationPlan("s005", round=3, dest_shard=2),
-        ]
-        run = fleet_serve(qam_groups, n_shards=4, migrations=migrations)
-        assert_identical(run, reference)
-        assert run[2].migrations_in == run[2].migrations_out == len(migrations)
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_invariant_to_shard_count(self, n_shards):
+        check(Draw(FLEET_CODED, shards=n_shards, placement_seed=3))
 
-    def test_parallel_stepping_matches_reference(self, qam_groups, reference):
-        assert_identical(
-            fleet_serve(qam_groups, n_shards=2, parallel=True), reference
-        )
-
-    def test_triggers_actually_fire(self, reference):
-        _, timelines, _ = reference
-        fired = [sid for sid, (seqs, *_rest) in timelines.items() if seqs]
-        assert len(fired) == N_SESSIONS // 2  # the phase-jump half
+    def test_invariant_to_migration_schedule(self):
+        stats = check(Draw(FLEET_CODED, shards=3, migrations=CODED_MIGRATIONS))
+        assert stats.migrations_in == len(CODED_MIGRATIONS)
 
 
 # ---------------------------------------------------------------------------
 # Live migration mechanics
 
 
-def two_shard_fleet(qam_groups, **session_kwargs):
+def two_shard_fleet(retrain=False):
     fleet = FleetFrontEnd(2, config=EngineConfig(max_batch=8), parallel=False)
-    session = build_sessions(qam_groups, **session_kwargs)[0]
+    session = FLEET.sessions(queue_depth=4, retrain=retrain)[0]
     fleet.add_session(session, shard=0)
     return fleet, session
 
 
 class TestMigration:
-    def test_queued_frames_survive_in_order(self, qam_groups):
-        fleet, session = two_shard_fleet(qam_groups, with_policy=False)
+    def test_queued_frames_survive_in_order(self):
+        fleet, session = two_shard_fleet()
         sid = session.session_id
-        traffic = generate_traffic(
-            qam_groups[0], FC, 4, SteadyChannel(AWGNFactory(8.0, 4)), 3
-        )
+        traffic = clean_traffic(GROUPS[0], 4, 3)
         with fleet:
             for frame in traffic:
                 assert fleet.submit(sid, frame)
@@ -406,28 +299,27 @@ class TestMigration:
         assert fleet.shards[1].telemetry.migrations_in == 1
         assert fleet.migrations == 1
 
-    def test_queued_stamps_rebased_across_clock_skew(self, qam_groups):
+    def test_queued_stamps_rebased_across_clock_skew(self):
         """Frames stamped on a source clock that runs AHEAD of the
         destination must not surface negative queue waits there."""
         fleet = FleetFrontEnd(2, config=EngineConfig(max_batch=8), parallel=False)
-        helper, mover = build_sessions(qam_groups, with_policy=False)[:2]
+        helper, mover = FLEET.sessions(queue_depth=4, retrain=False)[:2]
         fleet.add_session(helper, shard=0)
         fleet.add_session(mover, shard=0)
-        chan = SteadyChannel(AWGNFactory(8.0, 4))
         with fleet:
-            for f in generate_traffic(qam_groups[0], FC, 3, chan, 3):
+            for f in clean_traffic(GROUPS[0], 3, 3):
                 fleet.submit(helper.session_id, f)
             fleet.step()  # shard 0's symbol clock advances; shard 1 stays at 0
             assert fleet.shards[0].telemetry.now > fleet.shards[1].telemetry.now
-            for f in generate_traffic(qam_groups[1], FC, 2, chan, 4):
+            for f in clean_traffic(GROUPS[1], 2, 4):
                 fleet.submit(mover.session_id, f)  # stamped on shard 0's clock
             fleet.migrate(mover.session_id, 1)
             fleet.drain(max_rounds=50)  # served on shard 1: wait must be >= 0
         assert mover.stats.frames_served == 2
         assert mover.stats.queue_wait.count == 2
 
-    def test_migrate_to_current_shard_is_noop(self, qam_groups):
-        fleet, session = two_shard_fleet(qam_groups, with_policy=False)
+    def test_migrate_to_current_shard_is_noop(self):
+        fleet, session = two_shard_fleet()
         with fleet:
             assert fleet.migrate(session.session_id, 0) is session
             assert fleet.migrations == 0
@@ -435,21 +327,19 @@ class TestMigration:
             with pytest.raises(ValueError, match="dest must be"):
                 fleet.migrate(session.session_id, 2)
 
-    def test_draining_session_refuses_migration(self, qam_groups):
-        fleet, session = two_shard_fleet(qam_groups, with_policy=False)
+    def test_draining_session_refuses_migration(self):
+        fleet, session = two_shard_fleet()
         sid = session.session_id
         with fleet:
-            frame = generate_traffic(
-                qam_groups[0], FC, 1, SteadyChannel(AWGNFactory(8.0, 4)), 3
-            )[0]
+            frame = clean_traffic(GROUPS[0], 1, 3)[0]
             fleet.submit(sid, frame)
             fleet.remove_session(sid, drain=True)  # queue nonempty: still live
             assert fleet.has_session(sid)
             with pytest.raises(ValueError, match="draining"):
                 fleet.migrate(sid, 1)
 
-    def test_scheduler_credit_travels(self, qam_groups):
-        fleet, session = two_shard_fleet(qam_groups, with_policy=False)
+    def test_scheduler_credit_travels(self):
+        fleet, session = two_shard_fleet()
         sid = session.session_id
         with fleet:
             fleet.shards[0].scheduler.restore(sid, 0.75)
@@ -457,16 +347,12 @@ class TestMigration:
             assert fleet.shards[0].scheduler.credit(sid) == 0.0
             assert fleet.shards[1].scheduler.credit(sid) == 0.75
 
-    def test_quarantined_health_travels(self, qam_groups):
-        fleet, session = two_shard_fleet(qam_groups, with_policy=False)
+    def test_quarantined_health_travels(self):
+        fleet, session = two_shard_fleet()
         sid = session.session_id
-        frames = generate_traffic(
-            qam_groups[0], FC, 2, SteadyChannel(AWGNFactory(8.0, 4)), 3
-        )
+        frames = clean_traffic(GROUPS[0], 2, 3)
         poisoned = frames[0].received.copy()
         poisoned[0] = complex(float("nan"), 0.0)
-        from repro.serving import ServingFrame
-
         with fleet:
             fleet.submit(
                 sid,
@@ -485,8 +371,8 @@ class TestMigration:
             assert not fleet.submit(sid, frames[1])  # still fenced off
             assert session.stats.quarantine_refusals == refusals_before + 1
 
-    def test_degraded_breaker_state_travels(self, qam_groups):
-        fleet, session = two_shard_fleet(qam_groups, with_policy=False)
+    def test_degraded_breaker_state_travels(self):
+        fleet, session = two_shard_fleet()
         sid = session.session_id
         with fleet:
             src, dst = fleet.shards
@@ -504,8 +390,8 @@ class TestMigration:
             assert not dst.supervisor.allows(sid)  # triggers stay suppressed
             assert src.supervisor.state(sid) == "idle"  # source forgot
 
-    def test_backoff_clock_is_rebased(self, qam_groups):
-        fleet, session = two_shard_fleet(qam_groups, with_policy=False)
+    def test_backoff_clock_is_rebased(self):
+        fleet, session = two_shard_fleet()
         sid = session.session_id
         with fleet:
             src, dst = fleet.shards
@@ -520,22 +406,16 @@ class TestMigration:
             assert dst.supervisor.due_retries(10) == []  # not due immediately…
             assert dst.supervisor.due_retries(11) == [sid]  # …one round out
 
-    def test_in_flight_retrain_lands_on_destination(self, qam_groups):
+    def test_in_flight_retrain_lands_on_destination(self):
         gate = threading.Event()
-        done = HybridDemapper(constellation=qam_groups[0], sigma2=SIGMA2)
+        done = HybridDemapper(constellation=GROUPS[0], sigma2=S10)
 
         def gated_retrain(rng):
             gate.wait(10.0)
             return done
 
-        master = np.random.default_rng(1)
-        session = DemapperSession(
-            "mig",
-            HybridDemapper(constellation=qam_groups[0], sigma2=SIGMA2),
-            PilotBERMonitor(0.12, window=2),
-            config=SessionConfig(frame=FC),
-            retrain=gated_retrain,
-            rng=master,
+        session = make_session(
+            GROUPS[0], "mig", seed=1, retrain=gated_retrain, threshold=0.12
         )
         fleet = FleetFrontEnd(
             2,
@@ -564,10 +444,10 @@ class TestMigration:
             gate.set()
             fleet.close()
 
-    def test_undelivered_outcomes_travel(self, qam_groups):
+    def test_undelivered_outcomes_travel(self):
         """An inline install whose outcome the source never absorbed must
         reach the destination supervisor, not vanish."""
-        fleet, session = two_shard_fleet(qam_groups, with_policy=True)
+        fleet, session = two_shard_fleet(retrain=True)
         sid = session.session_id
         with fleet:
             src, dst = fleet.shards
@@ -579,14 +459,14 @@ class TestMigration:
             dst.step()
             assert dst.supervisor.state(sid) == "idle"  # install absorbed here
 
-    def test_import_refuses_duplicates_and_draining(self, qam_groups):
-        fleet, session = two_shard_fleet(qam_groups, with_policy=False)
+    def test_import_refuses_duplicates_and_draining(self):
+        fleet, session = two_shard_fleet()
         with fleet:
-            other = build_sessions(qam_groups, with_policy=False, seed=7)[0]
+            other = FLEET.sessions(queue_depth=4, retrain=False)[0]
             fleet.shards[1].add_session(other)
             with pytest.raises(ValueError, match="duplicate"):
                 fleet.shards[1].import_session(other)
-            exported = build_sessions(qam_groups, with_policy=False, seed=8)[2]
+            exported = FLEET.sessions(queue_depth=4, retrain=False)[2]
             exported.draining = True
             with pytest.raises(ValueError, match="draining"):
                 fleet.shards[1].import_session(exported)
@@ -603,12 +483,12 @@ class TestFleetLoad:
         with pytest.raises(ValueError, match="dest_shard"):
             MigrationPlan("s", round=0, dest_shard=-1)
 
-    def test_departed_session_migration_is_skipped(self, qam_groups):
+    def test_departed_session_migration_is_skipped(self):
         fleet = FleetFrontEnd(2, config=EngineConfig(max_batch=8), parallel=False)
-        sessions = build_sessions(qam_groups, with_policy=False)[:2]
+        sessions = FLEET.sessions(queue_depth=4, retrain=False)[:2]
         for s in sessions:
             fleet.add_session(s)
-        traffic = make_traffic(qam_groups, [s.session_id for s in sessions])
+        traffic = {s.session_id: FLEET.traffic()[s.session_id] for s in sessions}
         with fleet:
             stats = run_fleet_load(
                 fleet,
@@ -619,19 +499,17 @@ class TestFleetLoad:
         assert fleet.migrations == 0
         assert stats.frames_served == 2 * N_FRAMES
 
-    def test_conservation_across_shards(self, qam_groups, reference):
-        run = fleet_serve(qam_groups, n_shards=4, placement_seed=3)
-        assert run[2].frames_served == reference[2].frames_served
-        assert run[2].symbols_served == reference[2].symbols_served
-        assert run[2].frames_dropped == 0
+    def test_conservation_across_shards(self):
+        stats = run(Draw(FLEET, shards=4, placement_seed=3))[1].stats()
+        assert stats.frames_served == N_SESSIONS * N_FRAMES
+        assert stats.symbols_served == stats.frames_served * FC.total_symbols
+        assert stats.frames_dropped == 0
 
-    def test_stall_raises(self, qam_groups):
+    def test_stall_raises(self):
         fleet = FleetFrontEnd(2, config=EngineConfig(max_batch=8), parallel=False)
-        session = build_sessions(qam_groups, with_policy=False)[0]
+        session = FLEET.sessions(queue_depth=4, retrain=False)[0]
         fleet.add_session(session)
-        frame = generate_traffic(
-            qam_groups[0], FC, 1, SteadyChannel(AWGNFactory(8.0, 4)), 3
-        )[0]
+        frame = clean_traffic(GROUPS[0], 1, 3)[0]
         with fleet:
             fleet.submit(session.session_id, frame)
             session.state = "retraining"  # wedged outside SERVING, no job
@@ -645,19 +523,24 @@ class TestFleetLoad:
 
 
 class TestFleetTelemetry:
-    def test_merged_stats_equal_shard_sums(self, qam_groups):
-        llrs, _, stats = fleet_serve(qam_groups, n_shards=4, placement_seed=3)
+    def test_merged_stats_equal_shard_sums(self):
+        timelines, fleet, _ = run(Draw(FLEET_CODED, shards=4, placement_seed=3))
+        stats = fleet.stats()
         assert stats.frames_served == N_SESSIONS * N_FRAMES
         assert stats.joins == N_SESSIONS
-        assert sum(len(v) for v in llrs.values()) == N_SESSIONS * N_FRAMES
+        assert sum(len(t.frames) for t in timelines.values()) == N_SESSIONS * N_FRAMES
         assert stats.queue_wait.count == N_SESSIONS * N_FRAMES
+        # decode counters merge too
+        assert stats.frames_decoded == FLEET_CODED.n_coded * N_FRAMES
+        assert stats.crc_failures == sum(len(t.crc_fails) for t in timelines.values())
+        assert stats.crc_failures > 0
 
-    def test_snapshot_breakdown(self, qam_groups):
+    def test_snapshot_breakdown(self):
         fleet = FleetFrontEnd(2, config=EngineConfig(max_batch=8), parallel=False)
-        sessions = build_sessions(qam_groups, with_policy=False)[:2]
+        sessions = FLEET.sessions(queue_depth=4, retrain=False)[:2]
         for s in sessions:
             fleet.add_session(s)
-        traffic = make_traffic(qam_groups, [s.session_id for s in sessions])
+        traffic = {s.session_id: FLEET.traffic()[s.session_id] for s in sessions}
         with fleet:
             run_fleet_load(fleet, traffic, max_rounds=200)
             snap = fleet.snapshot()
@@ -668,12 +551,12 @@ class TestFleetTelemetry:
         )
         assert snap["sessions"] == 2
 
-    def test_shard_labelled_metrics_merge(self, qam_groups):
+    def test_shard_labelled_metrics_merge(self):
         fleet = FleetFrontEnd(2, config=EngineConfig(max_batch=8), parallel=False)
-        sessions = build_sessions(qam_groups, with_policy=False)[:2]
+        sessions = FLEET.sessions(queue_depth=4, retrain=False)[:2]
         for i, s in enumerate(sessions):
             fleet.add_session(s, shard=i)
-        traffic = make_traffic(qam_groups, [s.session_id for s in sessions])
+        traffic = {s.session_id: FLEET.traffic()[s.session_id] for s in sessions}
         with fleet:
             registries = fleet.register_metrics()
             assert len(registries) == 2
@@ -701,120 +584,3 @@ class TestFleetTelemetry:
         with FleetFrontEnd(1, parallel=False) as fleet:
             with pytest.raises(RuntimeError, match="register_metrics"):
                 fleet.metrics()
-
-
-# ---------------------------------------------------------------------------
-# Coded traffic across shards and migrations
-
-#: fast-firing CRC monitor so the payload-aware trigger path is exercised
-CODED = CodedFrameConfig(crc_fail_window=2, crc_fail_cooldown=2)
-
-
-def coded_fleet_serve(qam_groups, *, n_shards, placement_seed=0, migrations=()):
-    """One coded fleet run; returns (per-session decoded timelines, stats).
-
-    Same shape as :func:`fleet_serve`, but every session carries a
-    ``CodedFrameConfig`` and every timeline is decoded-bit-derived:
-    per-frame ``(seq, crc_ok, post_fec_ber)`` reports plus CRC-failure
-    seqs, decode counters and the trigger timeline.
-    """
-    reports: dict[str, list] = {}
-
-    def on_frame(s, f, block, rep):
-        reports.setdefault(s.session_id, []).append(
-            (rep.seq, rep.crc_ok, rep.post_fec_ber)
-        )
-
-    fleet = FleetFrontEnd(
-        n_shards,
-        config_factory=lambda i: EngineConfig(max_batch=64, on_frame=on_frame),
-        placement_seed=placement_seed,
-        parallel=False,
-    )
-    master = np.random.default_rng(43)
-    sessions = []
-    for i in range(N_SESSIONS):
-        (srng,) = master.spawn(1)
-        qam = qam_groups[i % N_GROUPS]
-        sessions.append(
-            DemapperSession(
-                f"s{i:03d}",
-                HybridDemapper(constellation=qam, sigma2=SIGMA2),
-                PilotBERMonitor(0.12, window=2, cooldown=2),
-                config=SessionConfig(frame=FC, queue_depth=4, coded=CODED),
-                retrain=RotatePolicy(qam),
-                rng=srng,
-            )
-        )
-    for s in sessions:
-        fleet.add_session(s)
-    chan_clean = SteadyChannel(AWGNFactory(8.0, 4))
-    chan_jump = SteppedChannel(
-        AWGNFactory(8.0, 4),
-        CompositeFactory((PhaseOffsetFactory(OFFSET), AWGNFactory(8.0, 4))),
-        step_seq=4,
-    )
-    rng = np.random.default_rng(59)
-    traffic = {}
-    for i, s in enumerate(sessions):
-        (srng,) = rng.spawn(1)
-        chan = chan_jump if i % 2 == 0 else chan_clean
-        traffic[s.session_id] = generate_traffic(
-            qam_groups[i % N_GROUPS], FC, N_FRAMES, chan, srng, coded=CODED
-        )
-    with fleet:
-        stats = run_fleet_load(fleet, traffic, migrations=migrations, max_rounds=500)
-    timelines = {
-        s.session_id: (
-            tuple(reports[s.session_id]),
-            tuple(s.stats.trigger_seqs),
-            s.stats.retrains,
-            s.stats.frames_decoded,
-            s.stats.crc_failures,
-            tuple(s.stats.crc_fail_seqs),
-            tuple(s.stats.post_fec_ber_trajectory),
-        )
-        for s in sessions
-    }
-    return timelines, stats
-
-
-@pytest.fixture(scope="module")
-def coded_reference(qam_groups):
-    """The single-shard coded run every sharded placement must reproduce."""
-    return coded_fleet_serve(qam_groups, n_shards=1)
-
-
-class TestCodedFleetInvariance:
-    """Coded sessions inherit the fleet determinism contract unchanged:
-    decoded-bit timelines are invariant to shard count, placement seed and
-    a mid-run migration schedule."""
-
-    def test_coded_path_exercised_and_merged(self, coded_reference):
-        timelines, stats = coded_reference
-        assert stats.frames_decoded == N_SESSIONS * N_FRAMES
-        assert stats.crc_failures == sum(t[4] for t in timelines.values())
-        fired = [t for t in timelines.values() if t[4] > 0]
-        assert len(fired) == N_SESSIONS // 2  # the phase-jump half
-
-    @pytest.mark.parametrize("n_shards", [2, 3])
-    def test_invariant_to_shard_count(self, qam_groups, coded_reference, n_shards):
-        timelines, stats = coded_fleet_serve(
-            qam_groups, n_shards=n_shards, placement_seed=3
-        )
-        assert timelines == coded_reference[0]
-        assert stats.frames_decoded == coded_reference[1].frames_decoded
-        assert stats.crc_failures == coded_reference[1].crc_failures
-
-    def test_invariant_to_migration_schedule(self, qam_groups, coded_reference):
-        migrations = [
-            MigrationPlan("s000", round=1, dest_shard=2),
-            MigrationPlan("s003", round=2, dest_shard=0),
-            MigrationPlan("s000", round=4, dest_shard=1),
-        ]
-        timelines, stats = coded_fleet_serve(
-            qam_groups, n_shards=3, migrations=migrations
-        )
-        assert timelines == coded_reference[0]
-        assert stats.migrations_in == stats.migrations_out == len(migrations)
-        assert stats.frames_decoded == coded_reference[1].frames_decoded

@@ -10,12 +10,11 @@ Four pillars of coverage:
   callback views, kind-per-name, label identity), Prometheus-text and JSON
   exporters, and the sharding contract: ``merge()`` of per-shard
   registries equals recording everything in one;
-* **passivity** — the hard acceptance gate: with a tracer, profiler and
-  registry all attached, per-session LLR/trigger/σ²/tier timelines are
-  bit-identical to an untraced run at every micro-batch width and worker
-  count; the per-session *event projection* is itself invariant to those
-  knobs, and the full deterministic trace snapshot is worker-count
-  invariant for retrain-free traffic;
+* **trace determinism** — output passivity (timelines bit-identical to
+  the sequential oracle's with a tracer, profiler and registry attached,
+  or a constantly evicting ring), the per-session *event projection* is
+  invariant to batch width and worker count, and the full deterministic
+  trace snapshot is worker-count invariant for retrain-free traffic;
 * **reporting** — ``export_run`` → JSON → ``render_dashboard`` → CLI.
 """
 
@@ -25,15 +24,23 @@ import threading
 import numpy as np
 import pytest
 
-from repro.channels import sigma2_from_snr
-from repro.channels.factories import AWGNFactory, CompositeFactory, PhaseOffsetFactory
+from oracle import (
+    CODED,
+    FC,
+    N_SESSIONS,
+    PLAIN,
+    S10,
+    Draw,
+    check,
+    clean_traffic,
+    jump_traffic,
+    make_session,
+    run,
+)
 from repro.extraction import HybridDemapper
 from repro.extraction.monitor import PilotBERMonitor
-from repro.link.frames import FrameConfig
-from repro.modulation import qam_constellation
 from repro.serving import (
     DEGRADED,
-    CodedFrameConfig,
     EngineConfig,
     MetricsRegistry,
     RetrainSupervisor,
@@ -41,108 +48,13 @@ from repro.serving import (
     ServingEngine,
     ServingFrame,
     SessionConfig,
-    SteadyChannel,
-    SteppedChannel,
     Tracer,
     build_fleet,
-    generate_traffic,
     run_load,
 )
 from repro.serving.obs_report import export_run, main, render_dashboard
 from repro.serving.observability import ENGINE_PHASES
 from repro.serving.telemetry import EngineStats, LatencyHistogram, SessionStats
-
-SIGMA2 = sigma2_from_snr(8.0, 4)
-FC = FrameConfig(pilot_symbols=16, payload_symbols=48)
-N_SESSIONS = 6
-N_FRAMES = 10
-OFFSET = np.pi / 4
-
-
-@pytest.fixture(scope="module")
-def qam16():
-    return qam_constellation(16)
-
-
-class RotatePolicy:
-    """Deterministic-in-rng retrain stand-in (the determinism-suite canary)."""
-
-    def __init__(self, qam):
-        self.qam = qam
-
-    def __call__(self, rng):
-        angle = OFFSET + rng.normal(scale=1e-3)
-        return HybridDemapper(
-            constellation=type(self.qam)(points=self.qam.points * np.exp(1j * angle)),
-            sigma2=SIGMA2,
-        )
-
-
-def make_traffic(qam, session_ids, *, jump=True, seed=17):
-    chan_clean = SteadyChannel(AWGNFactory(8.0, 4))
-    chan_jump = SteppedChannel(
-        AWGNFactory(8.0, 4),
-        CompositeFactory((PhaseOffsetFactory(OFFSET), AWGNFactory(8.0, 4))),
-        step_seq=4,
-    )
-    rng = np.random.default_rng(seed)
-    traffic = {}
-    for i, sid in enumerate(session_ids):
-        (srng,) = rng.spawn(1)
-        chan = chan_jump if (jump and i % 2 == 0) else chan_clean
-        traffic[sid] = generate_traffic(qam, FC, N_FRAMES, chan, srng)
-    return traffic
-
-
-def serve(qam, *, max_batch, retrain_workers, tracer=None, profiler=None,
-          registry=None, jump=True, with_policy=True):
-    """One full serving run; returns outputs, timelines and the engine."""
-    llrs = {}
-    engine = ServingEngine(config=EngineConfig(
-        max_batch=max_batch,
-        retrain_workers=retrain_workers,
-        tracer=tracer,
-        profiler=profiler,
-        on_frame=lambda s, f, block, rep: llrs.setdefault(s.session_id, []).append(
-            block.copy()
-        ),
-    ))
-    if registry is not None:
-        engine.register_metrics(registry)
-    sessions = build_fleet(
-        engine,
-        N_SESSIONS,
-        HybridDemapper(constellation=qam, sigma2=SIGMA2),
-        monitor_factory=lambda: PilotBERMonitor(0.12, window=2, cooldown=2),
-        config=SessionConfig(frame=FC, queue_depth=4),
-        retrain_factory=(lambda i: RotatePolicy(qam)) if with_policy else None,
-        seed=99,
-    )
-    with engine:
-        run_load(
-            engine, make_traffic(qam, [s.session_id for s in sessions], jump=jump)
-        )
-    timelines = {
-        s.session_id: (
-            tuple(s.stats.trigger_seqs),
-            tuple(s.stats.tier_timeline),
-            tuple(s.stats.sigma2_trajectory),
-            s.stats.retrains,
-        )
-        for s in sessions
-    }
-    return llrs, timelines, engine
-
-
-def assert_identical(run, reference):
-    llrs, timelines = run[0], run[1]
-    ref_llrs, ref_timelines = reference[0], reference[1]
-    assert timelines == ref_timelines
-    assert set(llrs) == set(ref_llrs)
-    for sid in ref_llrs:
-        assert len(llrs[sid]) == len(ref_llrs[sid]) == N_FRAMES
-        for got, ref in zip(llrs[sid], ref_llrs[sid]):
-            assert np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +294,9 @@ class TestStatsRegistration:
         assert stats.snapshot()["failure_summary"] == summary
         assert EngineStats().snapshot()["failure_summary"]["total"] == 0
 
-    def test_registered_views_match_snapshots(self, qam16):
+    def test_registered_views_match_snapshots(self):
         registry = MetricsRegistry()
-        llrs, timelines, engine = serve(
-            qam16, max_batch=8, retrain_workers=0, registry=registry
-        )
+        engine = run(Draw(PLAIN, max_batch=8), registry=registry)[1]
         eng = engine.telemetry.snapshot()
         for name in ("rounds", "frames_served", "retrains_started", "tracks"):
             assert registry.counter("serving_engine_" + name).value == eng[name]
@@ -430,16 +340,7 @@ class TestStatsRegistration:
         registry = MetricsRegistry()
         engine = ServingEngine()
         engine.register_metrics(registry)
-        from repro.serving import DemapperSession
-
-        engine.add_session(
-            DemapperSession(
-                "late",
-                HybridDemapper(constellation=qam16, sigma2=SIGMA2),
-                PilotBERMonitor(0.5, window=2),
-                config=SessionConfig(frame=FC),
-            )
-        )
+        engine.add_session(make_session(qam16, "late"))
         assert (
             registry.counter(
                 "serving_session_frames_served", {"session": "late"}
@@ -449,56 +350,37 @@ class TestStatsRegistration:
 
 
 # ---------------------------------------------------------------------------
-# passivity: the acceptance gate
+# passivity: the trace itself is deterministic
 # ---------------------------------------------------------------------------
 class TestTracingPassivity:
-    @pytest.fixture(scope="class")
-    def untraced(self, qam16):
-        return serve(qam16, max_batch=1, retrain_workers=0)
-
     @pytest.mark.parametrize(
         "max_batch,retrain_workers", [(1, 0), (3, 0), (64, 0), (64, 2), (8, 4)]
     )
     def test_outputs_bit_identical_with_full_observability(
-        self, qam16, untraced, max_batch, retrain_workers
+        self, max_batch, retrain_workers
     ):
-        """LLR/trigger/σ²/tier timelines: traced == untraced, every config."""
-        traced = serve(
-            qam16,
-            max_batch=max_batch,
-            retrain_workers=retrain_workers,
-            tracer=Tracer(wall_clock=True),
-            profiler=RoundProfiler(),
-            registry=MetricsRegistry(),
-        )
-        assert_identical(traced, untraced)
-        assert len(traced[2].tracer) > 0
+        """Wall-clock tracer + round profiler + metrics registry attached:
+        every timeline still equals the untraced oracle's."""
+        check(Draw(PLAIN, max_batch=max_batch, workers=retrain_workers,
+                   observers="full"))
 
-    def test_tiny_ring_is_still_passive(self, qam16, untraced):
+    def test_tiny_ring_is_still_passive(self):
         """A constantly-evicting ring changes nothing but what's remembered."""
-        tracer = Tracer(capacity=8)
-        traced = serve(qam16, max_batch=64, retrain_workers=0, tracer=tracer)
-        assert_identical(traced, untraced)
-        assert len(tracer) == 8 and tracer.dropped > 0
+        check(Draw(PLAIN, max_batch=64, observers="ring"))
 
-    def test_trace_snapshot_worker_invariant_without_retrains(self, qam16):
+    def test_trace_snapshot_worker_invariant_without_retrains(self):
         """Retrain-free traffic: the *full* deterministic event stream is
         identical across worker counts (threads only move install timing,
         and there is nothing to install)."""
         snaps = []
         for workers in (0, 2):
             tracer = Tracer(wall_clock=(workers == 2))
-            serve(
-                qam16, max_batch=8, retrain_workers=workers,
-                tracer=tracer, jump=False, with_policy=False,
-            )
+            run(Draw(PLAIN, max_batch=8, workers=workers), tracer=tracer, retrain=False)
             snaps.append(tracer.snapshot())
         assert snaps[0] == snaps[1]
 
     @pytest.mark.parametrize("max_batch,retrain_workers", [(3, 0), (64, 2)])
-    def test_session_projection_invariant_with_retrains(
-        self, qam16, max_batch, retrain_workers
-    ):
+    def test_session_projection_invariant_with_retrains(self, max_batch, retrain_workers):
         """Per-session lifecycle projection (names + seqs + deterministic
         args) is batch-width and worker-count invariant even when retrains
         fire — only global interleaving and clock stamps may differ."""
@@ -518,22 +400,17 @@ class TestTracingPassivity:
             return out
 
         ref_tracer = Tracer()
-        _, _, ref_engine = serve(
-            qam16, max_batch=1, retrain_workers=0, tracer=ref_tracer
-        )
+        run(Draw(PLAIN, max_batch=1), tracer=ref_tracer)
         got_tracer = Tracer()
-        serve(
-            qam16, max_batch=max_batch, retrain_workers=retrain_workers,
-            tracer=got_tracer,
-        )
+        run(Draw(PLAIN, max_batch=max_batch, workers=retrain_workers), tracer=got_tracer)
         sids = sorted({e.session_id for e in ref_tracer.events if e.session_id})
         assert len(sids) == N_SESSIONS
         for sid in sids:
             assert projection(got_tracer, sid) == projection(ref_tracer, sid)
 
-    def test_lifecycle_event_names_present(self, qam16):
+    def test_lifecycle_event_names_present(self):
         tracer = Tracer()
-        serve(qam16, max_batch=8, retrain_workers=0, tracer=tracer)
+        run(Draw(PLAIN, max_batch=8), tracer=tracer)
         names = {e.name for e in tracer.events}
         assert {
             "round.begin", "round.end", "frame.submit", "frame.batched",
@@ -554,9 +431,9 @@ class TestTracingPassivity:
 # profiler + fault-path events + worker gauges (satellite b)
 # ---------------------------------------------------------------------------
 class TestProfilerAndFaultEvents:
-    def test_profiler_covers_all_phases_with_sane_counts(self, qam16):
+    def test_profiler_covers_all_phases_with_sane_counts(self):
         prof = RoundProfiler()
-        _, _, engine = serve(qam16, max_batch=8, retrain_workers=0, profiler=prof)
+        engine = run(Draw(PLAIN, max_batch=8), profiler=prof)[1]
         # an uncoded fleet never enters the decode stage
         assert set(prof.phases) == set(ENGINE_PHASES) - {"decode"}
         rounds = engine.telemetry.rounds
@@ -582,37 +459,15 @@ class TestProfilerAndFaultEvents:
 
     def test_coded_decode_is_its_own_stage(self, qam16):
         """Coded batches record one ``decode`` per batch, outside
-        ``control-plane``, and profiling changes no decoded bit."""
-        coded = CodedFrameConfig()
-        fc = FrameConfig(pilot_symbols=16, payload_symbols=112)
-
-        def run(profiler):
-            seen = []
-            engine = ServingEngine(config=EngineConfig(
-                max_batch=4, profiler=profiler,
-                on_frame=lambda s, f, block, rep: seen.append(
-                    (s.session_id, f.seq, rep.crc_ok, rep.post_fec_ber)
-                ),
-            ))
-            sessions = build_fleet(
-                engine, 4, HybridDemapper(constellation=qam16, sigma2=SIGMA2),
-                monitor_factory=lambda: PilotBERMonitor(0.5, window=2),
-                config=SessionConfig(frame=fc, queue_depth=4, coded=coded), seed=5,
-            )
-            frames = generate_traffic(
-                qam16, fc, 3, SteadyChannel(AWGNFactory(8.0, 4)), 7, coded=coded
-            )
-            for s in sessions:
-                for f in frames:
-                    s.submit(f)
-            while engine.step():
-                pass
-            return engine, seen
-
+        ``control-plane`` (that profiling changes no decoded bit is checked
+        against the sequential oracle in ``test_differential.py``)."""
         prof = RoundProfiler()
-        engine, profiled = run(prof)
-        _, plain = run(None)
-        assert len(profiled) == 12 and profiled == plain
+        engine = ServingEngine(config=EngineConfig(max_batch=4, profiler=prof))
+        traffic = {}
+        for i in range(4):
+            session = engine.add_session(make_session(qam16, f"c{i}", seed=i, coded=CODED))
+            traffic[session.session_id] = clean_traffic(qam16, 3, 7, coded=CODED)
+        run_load(engine, traffic)
         assert engine.telemetry.frames_decoded == 12
         assert prof.phases["decode"].count == engine.telemetry.batches
         assert prof.phases["control-plane"].count == engine.telemetry.batches
@@ -631,14 +486,12 @@ class TestProfilerAndFaultEvents:
         tracer = Tracer()
         engine = ServingEngine(config=EngineConfig(tracer=tracer))
         sessions = build_fleet(
-            engine, 2, HybridDemapper(constellation=qam16, sigma2=SIGMA2),
+            engine, 2, HybridDemapper(constellation=qam16, sigma2=S10),
             monitor_factory=lambda: PilotBERMonitor(0.5, window=2),
             config=SessionConfig(frame=FC, queue_depth=4), seed=1,
         )
         sid = sessions[0].session_id
-        frames = generate_traffic(
-            qam16, FC, 3, SteadyChannel(AWGNFactory(8.0, 4)), 5
-        )
+        frames = clean_traffic(qam16, 3, 5)
         for f in frames:
             engine.submit(sid, f)
         engine.remove_session(sid, drain=False)
@@ -653,8 +506,6 @@ class TestProfilerAndFaultEvents:
         assert "session.drain" in other_names and "session.leave" in other_names
 
     def test_hung_retrain_emits_trace_and_degrades(self, qam16):
-        from repro.serving import DemapperSession
-
         release = threading.Event()
 
         def stuck(rng):
@@ -669,21 +520,9 @@ class TestProfilerAndFaultEvents:
         ))
         registry = engine.register_metrics(MetricsRegistry())
         session = engine.add_session(
-            DemapperSession(
-                "s",
-                HybridDemapper(constellation=qam16, sigma2=SIGMA2),
-                PilotBERMonitor(0.12, window=2, cooldown=2),
-                config=SessionConfig(frame=FC, queue_depth=4, sigma2_alpha=0.25),
-                retrain=stuck,
-                rng=0,
-            )
+            make_session(qam16, "s", retrain=stuck, threshold=0.12)
         )
-        chan = SteppedChannel(
-            AWGNFactory(8.0, 4),
-            CompositeFactory((PhaseOffsetFactory(OFFSET), AWGNFactory(8.0, 4))),
-            step_seq=2,
-        )
-        frames = generate_traffic(qam16, FC, 8, chan, 6)
+        frames = jump_traffic(qam16, 8, 6, step=2)
         offset = 0
         for _ in range(40):
             while offset < len(frames) and engine.submit("s", frames[offset]):
@@ -711,21 +550,10 @@ class TestProfilerAndFaultEvents:
         engine.close(timeout=5)
 
     def test_poison_quarantine_traces_fault_and_health(self, qam16):
-        from repro.serving import DemapperSession
-
         tracer = Tracer()
         engine = ServingEngine(config=EngineConfig(tracer=tracer))
-        engine.add_session(
-            DemapperSession(
-                "s",
-                HybridDemapper(constellation=qam16, sigma2=SIGMA2),
-                PilotBERMonitor(0.9, window=2),
-                config=SessionConfig(frame=FC, queue_depth=4),
-            )
-        )
-        frames = generate_traffic(
-            qam16, FC, 3, SteadyChannel(AWGNFactory(8.0, 4)), 5
-        )
+        engine.add_session(make_session(qam16, "s"))
+        frames = clean_traffic(qam16, 3, 5)
         received = np.array(frames[1].received, copy=True)
         received[2] = complex(float("nan"), float("nan"))
         poison = ServingFrame(
@@ -757,12 +585,10 @@ class TestProfilerAndFaultEvents:
 # ---------------------------------------------------------------------------
 class TestObsReport:
     @pytest.fixture(scope="class")
-    def run_doc(self, qam16, tmp_path_factory):
+    def run_doc(self, tmp_path_factory):
         registry = MetricsRegistry()
-        _, _, engine = serve(
-            qam16, max_batch=8, retrain_workers=0,
-            tracer=Tracer(), profiler=RoundProfiler(), registry=registry,
-        )
+        engine = run(Draw(PLAIN, max_batch=8), tracer=Tracer(),
+                     profiler=RoundProfiler(), registry=registry)[1]
         path = tmp_path_factory.mktemp("obs") / "run.json"
         doc = export_run(engine, path=path, indent=1)
         return doc, path, engine
@@ -786,7 +612,7 @@ class TestObsReport:
         tracer = Tracer()
         engine = ServingEngine(config=EngineConfig(tracer=tracer))
         sessions = build_fleet(
-            engine, 2, HybridDemapper(constellation=qam16, sigma2=SIGMA2),
+            engine, 2, HybridDemapper(constellation=qam16, sigma2=S10),
             monitor_factory=lambda: PilotBERMonitor(0.5, window=2),
             config=SessionConfig(frame=FC), seed=1,
         )
@@ -813,11 +639,9 @@ class TestObsReport:
         with pytest.raises(ValueError, match="unknown section"):
             render_dashboard(doc, sections=["nope"])
 
-    def test_dashboard_without_profile_falls_back_to_trace_counts(
-        self, qam16
-    ):
+    def test_dashboard_without_profile_falls_back_to_trace_counts(self):
         tracer = Tracer()
-        _, _, engine = serve(qam16, max_batch=8, retrain_workers=0, tracer=tracer)
+        engine = run(Draw(PLAIN, max_batch=8), tracer=tracer)[1]
         text = render_dashboard(export_run(engine))
         assert "trace event counts only" in text
         assert "phase.schedule" in text
