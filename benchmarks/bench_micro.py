@@ -61,6 +61,7 @@ _CORE_BENCH_NAMES = frozenset(
         "serving_batched[numpy]",
         "serving_sequential[numpy]",
         "serving_traced[numpy]",
+        "serving_kernel_floor[numpy]",
         "serving_control_plane[numpy]",
         "serving_churn[numpy]",
         "serving_churn_sequential[numpy]",
@@ -593,6 +594,38 @@ def test_serving_traced_overhead(benchmark, serving_setup):
     finally:
         # leave the shared fixture engine exactly as we found it
         engine.tracer = engine.profiler = engine.registry = None
+
+
+def test_serving_kernel_floor(benchmark, serving_setup):
+    """The serving round's floor: one raw ``hybrid.llrs`` call on the same
+    64 × 256 = 16384 symbols a ``serving_batched`` round demaps.
+
+    ``check_bench.py`` gates ``serving_batched / serving_kernel_floor`` —
+    the share of a plain round spent in the demap kernel itself — so work
+    the round adds around the kernel (accounting, σ², control plane,
+    telemetry) shows up as a falling ratio.  The kernel is timed on its
+    own, not inside the traced-overhead interleave that records
+    ``serving_batched``: a kernel call between engine rounds would evict
+    the engine's working set and bias that interleave's traced/bare
+    comparison.
+    """
+    engine, sessions, frames, fc = serving_setup
+    symbols = SERVE_SESSIONS * fc.total_symbols
+    hybrid = sessions[0].hybrid  # the fleet shares one centroid set
+    received = np.concatenate([frames[s.session_id].received for s in sessions])
+    out = np.empty((symbols, hybrid.constellation.bits_per_symbol))
+
+    def kernel_round():
+        return hybrid.llrs(received, out=out)
+
+    kernel_round()
+    benchmark.pedantic(kernel_round, rounds=4 * SERVE_ROUNDS, iterations=1,
+                       warmup_rounds=2)
+    _record(
+        benchmark, "serving_kernel_floor[numpy]", symbols=symbols,
+        extra={"backend": "numpy", "sessions": SERVE_SESSIONS,
+               "frame_symbols": fc.total_symbols},
+    )
 
 
 def test_serving_control_plane_overhead(benchmark):

@@ -33,6 +33,13 @@ __all__ = [
 TIER_TRACK = "track"
 TIER_RETRAIN = "retrain"
 
+#: Windows shorter than this are averaged by a plain left-to-right float
+#: loop, which is bit-identical to ``np.mean`` there (numpy's pairwise sum
+#: only starts unrolling at 8 elements) and far cheaper on a short deque.
+#: A running add/subtract sum, ``math.fsum`` and the built-in ``sum()``
+#: (compensated on Python >= 3.12) are not bit-identical, so none is used.
+_LOOP_MEAN_BELOW = 8
+
 
 @dataclass(frozen=True)
 class MonitorState:
@@ -105,7 +112,7 @@ class DegradationMonitor:
             return False
         if len(self._values) < self.window:
             return False
-        if float(np.mean(self._values)) > self.threshold:
+        if self._mean() > self.threshold:
             self.triggers += 1
             self._cooldown_left = self.cooldown
             self._values.clear()
@@ -115,7 +122,17 @@ class DegradationMonitor:
     @property
     def current_level(self) -> float:
         """Mean of the current window (NaN if empty)."""
-        return float(np.mean(self._values)) if self._values else float("nan")
+        return self._mean() if self._values else float("nan")
+
+    def _mean(self) -> float:
+        """Mean of the (non-empty) window, bit-identical to ``np.mean``."""
+        values = self._values
+        if len(values) >= _LOOP_MEAN_BELOW:
+            return float(np.mean(values))
+        total = 0.0
+        for v in values:
+            total += v
+        return total / len(values)
 
     @property
     def window_fill(self) -> int:

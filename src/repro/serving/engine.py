@@ -457,19 +457,22 @@ class ServingEngine:
     def _serve_batch(self, batch: MicroBatch, key: str = "serve") -> None:
         """Demap one micro-batch in a single launch, then account per frame.
 
-        The accounting (hard bits, truth gather, pilot/payload error sums)
-        is vectorised over the stacked ``(S, n, k)`` tensor — integer sums
+        The accounting (hard bits, truth gather, pilot error sums) is
+        vectorised over the stacked ``(S, n, k)`` tensor — integer sums
         divided per frame, arithmetically identical to
         :func:`repro.link.frames.frame_bers` on each frame alone — so the
         engine's per-frame Python cost stays flat as frames shrink, which is
-        exactly the regime micro-batching exists for.  The demap/accounting
-        intermediates are backend workspace scratch, so that path allocates
-        nothing per round in steady state; the per-frame control-plane
-        updates (σ² EWMA, monitor, ladder) are scalar work, and the batched
-        pilot noise estimate — only run when a session has
-        ``sigma2_alpha > 0`` — allocates a handful of ``(S, n)`` temporaries
-        per launch (measured: the full control plane still clears the
-        ≥1.5×-sequential bar in ``bench_micro``).
+        exactly the regime micro-batching exists for.
+
+        Only what a consumer reads is computed.  The control plane reads
+        pilot BER and pilot σ², so accounting and the batched noise
+        estimate (run only when a session has ``sigma2_alpha > 0``) cover
+        the *pilot span* ``[:, :W]``: ``W`` is one past the last column any
+        row uses as a pilot, so no pilot layout is assumed.  Both are exact
+        there — integer error sums, and σ² reductions that only lose
+        trailing zero terms.  Payload BER (full-width error sums) and the
+        :class:`ServedFrame` are built only for an ``on_frame`` hook.  The
+        finite check stays full-width: it is the poison guard.
         """
         be = self.backend
         s_count = batch.occupancy
@@ -520,29 +523,35 @@ class ServingEngine:
         fin = be.workspace.scratch(key + "_fin", (s_count, n, k), dtype=np.bool_)
         np.isfinite(llrs3, out=fin)
         row_ok = fin.reshape(s_count, -1).all(axis=1)
-        hat = be.workspace.scratch(key + "_hat", (s_count, n, k), dtype=np.bool_)
-        np.greater(llrs3, 0.0, out=hat)
         idx = be.workspace.scratch(key + "_idx", (s_count, n), dtype=np.int64)
         pmask = be.workspace.scratch(key + "_pmask", (s_count, n), dtype=np.bool_)
         for row, frame in enumerate(batch.frames):
             np.copyto(idx[row], frame.indices, casting="same_kind")
             np.copyto(pmask[row], frame.pilot_mask, casting="same_kind")
-        truth = be.workspace.scratch(key + "_truth", (s_count * n, k), dtype=np.int8)
-        np.take(first.bit_matrix, idx.reshape(-1), axis=0, out=truth)
-        err = be.workspace.scratch(key + "_err", (s_count, n, k), dtype=np.bool_)
-        np.not_equal(hat, truth.reshape(s_count, n, k), out=err)
-        err_sym = err.sum(axis=2, dtype=np.int64)          # (S, n) bit errors per symbol
-        pilot_syms = pmask.sum(axis=1, dtype=np.int64)     # (S,)
-        pilot_errs = np.where(pmask, err_sym, 0).sum(axis=1, dtype=np.int64)
-        total_errs = err_sym.sum(axis=1, dtype=np.int64)
+        pilot_cols = np.flatnonzero(pmask.any(axis=0))
+        w = int(pilot_cols[-1]) + 1 if pilot_cols.size else 0
+        # the accounting span: the pilot span, or every column when a frame
+        # hook will read the payload BER
+        span = n if self.on_frame is not None else w
+        hat = be.workspace.scratch(key + "_hat", (s_count, span, k), dtype=np.bool_)
+        np.greater(llrs3[:, :span], 0.0, out=hat)
+        truth = be.workspace.scratch(key + "_truth", (s_count * span, k), dtype=np.int8)
+        np.take(first.bit_matrix, idx[:, :span].reshape(-1), axis=0, out=truth)
+        err = be.workspace.scratch(key + "_err", (s_count, span, k), dtype=np.bool_)
+        np.not_equal(hat, truth.reshape(s_count, span, k), out=err)
+        err_sym = err.sum(axis=2, dtype=np.int64)          # (S, span) bit errors per symbol
+        pilot_syms = pmask[:, :w].sum(axis=1, dtype=np.int64)  # (S,)
+        pilot_errs = np.where(pmask[:, :span], err_sym, 0).sum(axis=1, dtype=np.int64)
         sigma2_est = None
         if any(s.config.sigma2_alpha > 0.0 for s in batch.sessions):
             # batched pilot noise estimation: the reference positions are the
             # group's shared centroid set (row-local reductions — each row's
             # estimate is independent of batch composition)
-            ref = be.workspace.scratch(key + "_ref", (s_count, n), dtype=np.complex128)
-            np.take(first.points, idx.reshape(-1), out=ref.reshape(-1))
-            sigma2_est = estimate_noise_sigma2_batch(ref, stacked_rx, pmask)
+            ref = be.workspace.scratch(key + "_ref", (s_count, w), dtype=np.complex128)
+            np.take(first.points, idx[:, :w].reshape(-1), out=ref.reshape(-1))
+            sigma2_est = estimate_noise_sigma2_batch(
+                ref, stacked_rx[:, :w], pmask[:, :w]
+            )
         # coded decode stage: group rows by (coded config, payload bit
         # budget) so every group shares one CodedLayout — hence one cached
         # trellis table set and one workspace branch-metric tensor per
@@ -581,10 +590,8 @@ class ServingEngine:
                 served_symbols -= frame.n_symbols
                 continue
             n_pilot = int(pilot_syms[row])
-            n_payload = n - n_pilot
-            pe, te = int(pilot_errs[row]), int(total_errs[row])
+            pe = int(pilot_errs[row])
             pilot_ber = pe / (n_pilot * k) if n_pilot else float("nan")
-            payload_ber = (te - pe) / (n_payload * k) if n_payload else float("nan")
             crc_ok: bool | None = None
             post_fec_ber = float("nan")
             if row in decoded:
@@ -606,23 +613,10 @@ class ServingEngine:
                 frame.seq, n, pilot_ber, fired, tier=tier, sigma2=session.sigma2,
                 crc_ok=crc_ok, post_fec_ber=post_fec_ber,
             )
-            report = ServedFrame(
-                session_id=session.session_id,
-                seq=frame.seq,
-                pilot_ber=pilot_ber,
-                payload_ber=payload_ber,
-                fired=fired,
-                monitor_level=session.monitor.current_level,
-                tier=tier,
-                sigma2=session.sigma2,
-                queue_wait=batch_start - batch.enqueued_at[row],
-                service_time=service_time,
-                crc_ok=crc_ok,
-                post_fec_ber=post_fec_ber,
-            )
-            self.telemetry.queue_wait.record(report.queue_wait)
+            queue_wait = batch_start - batch.enqueued_at[row]
+            self.telemetry.queue_wait.record(queue_wait)
             self.telemetry.service_time.record(service_time)
-            session.stats.queue_wait.record(report.queue_wait)
+            session.stats.queue_wait.record(queue_wait)
             if tracer is not None:
                 if crc_ok is not None:
                     tracer.emit_instant(
@@ -653,10 +647,28 @@ class ServingEngine:
                         "fired": fired,
                         "tier": tier,
                         "sigma2": session.sigma2,
-                        "queue_wait": report.queue_wait,
+                        "queue_wait": queue_wait,
                     },
                 )
             if self.on_frame is not None:
+                n_payload = n - n_pilot
+                payload_errs = int(err_sym[row].sum(dtype=np.int64)) - pe
+                report = ServedFrame(
+                    session_id=session.session_id,
+                    seq=frame.seq,
+                    pilot_ber=pilot_ber,
+                    payload_ber=(
+                        payload_errs / (n_payload * k) if n_payload else float("nan")
+                    ),
+                    fired=fired,
+                    monitor_level=session.monitor.current_level,
+                    tier=tier,
+                    sigma2=session.sigma2,
+                    queue_wait=queue_wait,
+                    service_time=service_time,
+                    crc_ok=crc_ok,
+                    post_fec_ber=post_fec_ber,
+                )
                 self.on_frame(session, frame, llrs3[row], report)
         if self.profiler is not None:
             self.profiler.account("control-plane", perf_counter() - t_cp - t_dec)
@@ -932,6 +944,11 @@ class ServingEngine:
         """In-flight retrain jobs (drivers poll this)."""
         return self.worker.pending
 
+    def scheduled_retries(self) -> int:
+        """Backed-off retries waiting for their round (drivers keep stepping
+        rounds until these have launched and resolved)."""
+        return self.supervisor.scheduled()
+
     def wait_retrains(self, timeout: float | None = None) -> None:
         """Block until in-flight retrains resolve, crediting the installs.
 
@@ -951,10 +968,14 @@ class ServingEngine:
     def drain(
         self, max_rounds: int | None = None, *, timeout: float | None = None
     ) -> int:
-        """Serve until every queue is empty and no retrain is in flight.
+        """Serve until every queue is empty and no retrain is in flight or
+        scheduled.
 
         Returns the total frames served.  When nothing is servable but
-        retrains are pending, blocks for their swaps instead of spinning.
+        retrains are pending, blocks for their swaps instead of spinning;
+        a backed-off retry keeps the drain stepping rounds until it has
+        launched and resolved, so the failure ledger a drain leaves does
+        not depend on how many rounds the traffic happened to take.
         A round may serve zero frames while a fractional-weight session
         accrues scheduler credit — that still counts as progress.
 
@@ -983,7 +1004,11 @@ class ServingEngine:
             served = self.step()
             rounds += 1
             total += served
-            if not self.pending_retrains() and not any(s.pending for s in self.sessions):
+            if (
+                not self.pending_retrains()
+                and not self.scheduled_retries()
+                and not any(s.pending for s in self.sessions)
+            ):
                 self._finish_drains()
                 return total
             if max_rounds is not None and rounds >= max_rounds:
@@ -996,6 +1021,8 @@ class ServingEngine:
             if self.pending_retrains():
                 self.wait_retrains(timeout)
                 continue
+            if self.scheduled_retries():
+                continue  # a backed-off retry launches when its round comes
             if any(s.ready for s in self.sessions):
                 continue  # scheduler credit accruing (weight < 1): not stuck
             # queued frames but no ready session and no in-flight job:

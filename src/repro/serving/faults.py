@@ -122,6 +122,7 @@ class RetrainSupervisor:
         on_failure(sid, now, err)   job raised / hung: schedule retry
                                     or open the breaker -> FailureRecord
         due_retries(now)            sessions whose backoff has expired
+        scheduled()                 backed-off retries still waiting
         overdue(now)                in-flight jobs past deadline_rounds
         allows(sid)                 may a *new* trigger start a retrain?
 
@@ -234,6 +235,11 @@ class RetrainSupervisor:
             for sid, sup in self._sessions.items()
             if sup.state == _BACKOFF and now >= sup.retry_at
         )
+
+    def scheduled(self) -> int:
+        """Backed-off retries not yet launched — work a driver must wait
+        for, round by round, before it may call a run complete."""
+        return sum(1 for sup in self._sessions.values() if sup.state == _BACKOFF)
 
     def overdue(self, now: int) -> list[str]:
         """In-flight jobs older than ``deadline_rounds`` (sorted; [] if off)."""

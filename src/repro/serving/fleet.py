@@ -279,6 +279,11 @@ class FleetFrontEnd:
         """In-flight retrain jobs fleet-wide (drivers poll this)."""
         return sum(shard.pending_retrains() for shard in self.shards)
 
+    def scheduled_retries(self) -> int:
+        """Backed-off retries fleet-wide (see
+        :meth:`ServingEngine.scheduled_retries`)."""
+        return sum(shard.scheduled_retries() for shard in self.shards)
+
     def wait_retrains(self, timeout: float | None = None) -> None:
         """Block on every shard's in-flight retrains, crediting installs
         (see :meth:`ServingEngine.wait_retrains`)."""

@@ -256,20 +256,24 @@ def _drive(
 
     ``server`` is a :class:`ServingEngine` or a
     :class:`~repro.serving.fleet.FleetFrontEnd` — anything with ``step``,
-    ``sessions``, ``pending_retrains`` and ``wait_retrains``.  Per round:
-    ``produce(round_index)`` feeds the server (submissions, joins,
-    removals, migrations), one round runs, then, in order: *completion*
-    (``complete()`` true and no retrain in flight — checked before the
-    guard, so a run finishing exactly on ``max_rounds`` returns instead of
-    raising), the ``max_rounds`` safety bound (:class:`RuntimeError` — the
-    same semantics as ``ServingEngine.drain``), and progress/stall
+    ``sessions``, ``pending_retrains``, ``scheduled_retries`` and
+    ``wait_retrains``.  Per round: ``produce(round_index)`` feeds the
+    server (submissions, joins, removals, migrations), one round runs,
+    then, in order: *completion* (``complete()`` true and no retrain in
+    flight or backed off awaiting its retry — checked before the guard, so
+    a run finishing exactly on ``max_rounds`` returns instead of raising),
+    the ``max_rounds`` safety bound (:class:`RuntimeError` — the same
+    semantics as ``ServingEngine.drain``), and progress/stall
     classification: a served frame, an in-flight retrain (blocked on, not
-    spun on), a ready session accruing fractional scheduler credit, or a
-    producer-side reason to idle (``idle_ok()`` — e.g. a join, leave or
-    migration still scheduled) all count as progress; anything else is a
-    stall and raises.  Keeping this state machine in one place is what
-    keeps the drivers' ``max_rounds``/stall semantics identical by
-    construction.
+    spun on), a scheduled retry (idled on until its round), a ready
+    session accruing fractional scheduler credit, or a producer-side
+    reason to idle (``idle_ok()`` — e.g. a join, leave or migration still
+    scheduled) all count as progress; anything else is a stall and
+    raises.  Waiting out scheduled retries is what makes the failure
+    ledger a run leaves independent of how many rounds its traffic took
+    (a weight-4 session finishes its frames in a quarter of the rounds).
+    Keeping this state machine in one place is what keeps the drivers'
+    ``max_rounds``/stall semantics identical by construction.
 
     ``wait_timeout`` (seconds) bounds each blocking wait for in-flight
     retrains (same semantics as ``ServingEngine.drain(timeout=)``): a job
@@ -283,7 +287,11 @@ def _drive(
         produce(rounds)
         served = server.step()
         rounds += 1
-        if complete() and not server.pending_retrains():
+        if (
+            complete()
+            and not server.pending_retrains()
+            and not server.scheduled_retries()
+        ):
             return
         if max_rounds is not None and rounds >= max_rounds:
             raise RuntimeError(
@@ -300,6 +308,8 @@ def _drive(
                     pending=server.pending_retrains(),
                 )
             server.wait_retrains(wait_timeout)
+            continue
+        if server.scheduled_retries():
             continue
         if any(s.ready for s in server.sessions):
             # a zero-served round while a fractional-weight session accrues
@@ -359,10 +369,11 @@ def run_load(
     accepts (rejected submissions are retried next round — backpressure
     slows the producer, it never loses frames), then serves one engine
     round.  Returns the engine telemetry once every frame is served and no
-    retrain is in flight.  ``max_rounds`` is a safety bound with the same
-    semantics as ``ServingEngine.drain`` and :func:`run_churn_load`: a run
-    that has not completed within it raises :class:`RuntimeError` instead
-    of looping forever (completing *exactly on* the bound is fine);
+    retrain is in flight or scheduled for retry.  ``max_rounds`` is a
+    safety bound with the same semantics as ``ServingEngine.drain`` and
+    :func:`run_churn_load`: a run that has not completed within it raises
+    :class:`RuntimeError` instead of looping forever (completing *exactly
+    on* the bound is fine);
     ``wait_timeout`` bounds each blocking wait for in-flight retrains.
 
     A session that gets **quarantined** mid-run (poison frame) stops
@@ -451,9 +462,9 @@ def run_fleet_load(
     much traffic per session as backpressure allows, then serves one fleet
     round (all shards).  Returns the merged fleet-wide
     :class:`EngineStats` once every frame is served, no retrain is in
-    flight on any shard, and no migration remains scheduled.  Sessions
-    that get quarantined or leave mid-run abandon their remaining traffic,
-    exactly as in :func:`run_load`.
+    flight or scheduled for retry on any shard, and no migration remains
+    scheduled.  Sessions that get quarantined or leave mid-run abandon
+    their remaining traffic, exactly as in :func:`run_load`.
     """
     due: dict[int, list[MigrationPlan]] = {}
     for plan in migrations:
@@ -495,7 +506,8 @@ def run_churn_load(
     (graceful or hard per the plan), then one engine round is served.
     Returns the engine telemetry once every plan has run its course —
     residents fully served, leavers fully removed — and no retrain is in
-    flight.  ``max_rounds`` bounds the loop (RuntimeError beyond it).
+    flight or scheduled for retry.  ``max_rounds`` bounds the loop
+    (RuntimeError beyond it).
 
     Determinism: traffic content is fixed by :func:`generate_traffic`
     before the run, and join/leave rounds are part of the schedule — so

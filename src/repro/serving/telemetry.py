@@ -40,6 +40,7 @@ the determinism contract) plus fleet-wide on :class:`EngineStats`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -228,6 +229,12 @@ class SessionStats:
     ``tier_timeline`` they are the session's adaptation timeline (the
     determinism tests assert all four are invariant to batching, queue
     depth, worker count and scheduler weights).
+
+    The three per-frame float trajectories (pilot BER, σ², post-FEC BER)
+    are ``array('d')``: 8 bytes per served frame instead of a boxed float
+    plus a list slot, so a long-running session's memory grows with its
+    traffic at the raw float rate.  They index, slice and iterate like
+    lists; :meth:`snapshot` hands out plain lists.
     """
 
     frames_served: int = 0
@@ -264,14 +271,14 @@ class SessionStats:
     trigger_seqs: list[int] = field(default_factory=list)
     #: ``(seq, tier)`` per trigger that got an adaptation response
     tier_timeline: list[tuple[int, str]] = field(default_factory=list)
-    pilot_ber_trajectory: list[float] = field(default_factory=list)
+    pilot_ber_trajectory: array = field(default_factory=lambda: array("d"))
     #: session σ² estimate after each served frame's in-loop pilot update
-    sigma2_trajectory: list[float] = field(default_factory=list)
+    sigma2_trajectory: array = field(default_factory=lambda: array("d"))
     #: seqs of decoded frames whose CRC failed (frame order, like
     #: ``trigger_seqs`` — part of the coded determinism contract)
     crc_fail_seqs: list[int] = field(default_factory=list)
     #: post-FEC information-bit error rate per decoded frame, frame order
-    post_fec_ber_trajectory: list[float] = field(default_factory=list)
+    post_fec_ber_trajectory: array = field(default_factory=lambda: array("d"))
     #: this session's own queue-wait histogram (symbol ticks) — the signal
     #: the engine's :class:`~repro.serving.weights.WeightController` steers
     #: scheduler weights from
@@ -341,7 +348,8 @@ class SessionStats:
         registry.gauge(prefix + "fer", labels, fn=lambda: self.frame_error_rate)
 
     def snapshot(self) -> dict:
-        """Plain-dict copy (lists copied) for logging/JSON."""
+        """Plain-dict copy (lists and trajectories copied to lists) for
+        logging/JSON."""
         return {
             "schema": SCHEMA_VERSION,
             **{name: getattr(self, name) for name in _SESSION_COUNTER_FIELDS},

@@ -90,7 +90,7 @@ class TestSigma2Loop:
 
     def test_alpha_zero_keeps_sigma2_fixed(self, qam16):
         session = self.run_snr_step(qam16, alpha=0.0)
-        assert session.stats.sigma2_trajectory == [S10] * 14
+        assert list(session.stats.sigma2_trajectory) == [S10] * 14
 
     def test_sigma2_trajectory_is_deterministic(self, qam16):
         a = self.run_snr_step(qam16, alpha=0.4).stats.sigma2_trajectory

@@ -462,11 +462,47 @@ class TestDegradedServing:
             run_load(engine, {"fail": jump_traffic(qam16, 12, 6, step=2),
                               "warp": warp_traffic(qam16, 8, 201)}, max_rounds=50)
         assert failing.stats.trigger_seqs[0] == 2  # fails in round 0, wave 2
+        # the run waits out the scheduled retry, so the breaker opens
         assert [(r.round, r.failures, r.action) for r in engine.telemetry.failure_log] \
-            == [(0, 1, "retry"), (1, 2, "retry")]
+            == [(0, 1, "retry"), (1, 2, "retry"), (3, 3, "degrade")]
         assert (0, "fail", 3) in served  # resumed within the failing round
         # one frame a round gives the same ladder: both warps retrain
         assert warped.stats.tier_timeline == [(5, "retrain"), (7, "retrain")]
+
+    @pytest.mark.parametrize("driver", ["run_load", "drain"])
+    def test_failure_ledger_does_not_depend_on_weight(self, qam16, driver):
+        """A run ends only once backed-off retries have launched: a weight-4
+        session finishes its frames in a quarter of the rounds, but must
+        leave the same failure ledger and health as at weight 1."""
+
+        def boom(rng):
+            raise InjectedRetrainError("boom")
+
+        outcomes = []
+        for weight in (1.0, 4.0):
+            engine = ServingEngine(config=EngineConfig(
+                supervisor=RetrainSupervisor(max_failures=3, backoff_base=1),
+            ))
+            session = engine.add_session(make_session(
+                qam16, "s", retrain=boom, weight=weight, queue_depth=12,
+                threshold=0.05,
+            ))
+            frames = jump_traffic(qam16, 12, 6, step=2)
+            with engine:
+                if driver == "run_load":
+                    run_load(engine, {"s": frames}, max_rounds=100)
+                else:
+                    for frame in frames:
+                        assert engine.submit("s", frame)
+                    engine.drain(max_rounds=100)
+                assert not engine.scheduled_retries()
+            outcomes.append((
+                [(r.failures, r.action) for r in engine.telemetry.failure_log],
+                session.health,
+            ))
+        assert outcomes[0] == outcomes[1] == (
+            [(1, "retry"), (2, "retry"), (3, "degrade")], DEGRADED
+        )
 
     def test_trigger_during_backoff_does_not_jump_the_queue(self, qam16):
         """Between failure and retry the session serves and may re-trigger;

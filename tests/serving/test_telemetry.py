@@ -6,10 +6,22 @@ q∈{0,1}, single bucket) and the merge-of-shards path must be exact, not
 just plausible.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.serving import EngineStats, LatencyHistogram, SessionStats
+from oracle import clean_traffic, make_session
+from repro.serving import (
+    EngineConfig,
+    EngineStats,
+    LatencyHistogram,
+    ServingEngine,
+    ServingFrame,
+    SessionStats,
+    run_load,
+)
 
 
 def filled(values):
@@ -152,3 +164,37 @@ class TestChurnCounters:
         assert snap["drain_refusals"] == 2 and snap["frames_dropped"] == 1
         assert snap["queue_wait"]["count"] == 1
         assert snap["weight_timeline"] == [(64, 2.0)]
+
+
+class TestSessionStatsMemory:
+    def test_retained_bytes_per_served_frame(self, qam16):
+        """A long-running session keeps 8 bytes per per-frame float, not a
+        boxed float plus a list slot (about 33 bytes): serving must not
+        grow the process faster than its trajectories' raw floats."""
+        n_sessions, warmup, frames_each = 8, 16, 500
+        engine = ServingEngine(config=EngineConfig(max_batch=n_sessions))
+        traffic = {}
+        for i in range(n_sessions):
+            sid = f"s{i}"
+            engine.add_session(make_session(qam16, sid, seed=i, sigma2_alpha=0.25))
+            base = clean_traffic(qam16, 4, 100 + i)
+            traffic[sid] = [
+                ServingFrame(seq, b.indices, b.pilot_mask, b.received)
+                for seq, b in ((q, base[q % 4]) for q in range(warmup + frames_each))
+            ]
+        warm = {sid: frames[:warmup] for sid, frames in traffic.items()}
+        rest = {sid: frames[warmup:] for sid, frames in traffic.items()}
+        run_load(engine, warm)  # workspace, caches and first array blocks
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_load(engine, rest)
+            gc.collect()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        served = n_sessions * frames_each
+        assert engine.telemetry.frames_served == n_sessions * (warmup + frames_each)
+        # two float trajectories per uncoded frame: 16 raw bytes plus the
+        # array's over-allocation; everything else the round keeps is O(1)
+        assert retained / served <= 24, f"{retained / served:.1f} B per frame"
