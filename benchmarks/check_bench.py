@@ -8,9 +8,10 @@ micro-benchmark suite (which rewrites the artifact in place), and compares:
    artifacts must not regress more than ``--tolerance`` (default 30%) vs the
    baseline.  Absolute throughput is machine-bound, so this gate only
    applies when the baseline was recorded on a matching environment
-   (same machine/cpu-count/python/numpy ``machine_info``); on a different
-   machine it downgrades to a warning — the committed baseline from a dev
-   box must not fail a slower CI runner on hardware alone.
+   (same machine/cpu-count/python/numpy ``machine_info``) — the committed
+   baseline from a dev box must not fail a slower CI runner on hardware
+   alone — and ``--no-run`` compares the artifact with itself.  Either way
+   one ``relative gate inert: <reason>`` line says so.
 2. **Ratio gates** — machine-independent invariants checked on the fresh
    artifact unconditionally:
    * serving engine >= 2x sequential per-session demapping,
@@ -40,7 +41,7 @@ Exit code 0 = gate passed; 1 = regression (or missing artifact/benchmark).
 Usage::
 
     python benchmarks/check_bench.py              # run suite, then compare
-    python benchmarks/check_bench.py --no-run     # compare existing artifact
+    python benchmarks/check_bench.py --no-run     # ratio/floor gates on the existing artifact
     python benchmarks/check_bench.py --tolerance 0.2
 """
 
@@ -141,7 +142,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.30,
                         help="max fractional sym/s regression vs baseline (default 0.30)")
     parser.add_argument("--no-run", action="store_true",
-                        help="compare the existing artifact instead of re-running")
+                        help="gate the existing artifact instead of re-running "
+                             "(ratio and floor gates only)")
     args = parser.parse_args(argv)
     if not 0.0 < args.tolerance < 1.0:
         parser.error("--tolerance must be in (0, 1)")
@@ -155,9 +157,17 @@ def main(argv: list[str] | None = None) -> int:
     failures: list[str] = []
     warnings: list[str] = []
 
-    # 1. relative gate (same-environment baselines only)
-    comparable = args.no_run or baseline.get("machine_info") == current.get("machine_info")
-    print(f"\n{'benchmark':<34} {'baseline':>12} {'current':>12} {'ratio':>7}")
+    # 1. relative gate (a fresh run on the baseline's environment only)
+    if args.no_run:
+        inert = "--no-run compares the artifact with itself"
+    elif baseline.get("machine_info") != current.get("machine_info"):
+        inert = "machine_info differs from the committed baseline"
+    else:
+        inert = None
+    if inert:
+        print(f"\nrelative gate inert: {inert}")
+    else:
+        print(f"\n{'benchmark':<34} {'baseline':>12} {'current':>12} {'ratio':>7}")
     for name in sorted(base_rates):
         if name not in cur_rates:
             if name in ENV_BENCH_NAMES:
@@ -168,16 +178,14 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 failures.append(f"tracked benchmark {name!r} missing from the fresh run")
             continue
+        if inert:
+            continue
         ratio = cur_rates[name] / base_rates[name]
         print(f"{name:<34} {base_rates[name]:>10.3g}/s {cur_rates[name]:>10.3g}/s "
               f"{ratio:>6.2f}x")
         if ratio < 1.0 - args.tolerance:
-            msg = (f"{name}: {cur_rates[name]:.3g} sym/s is "
-                   f"{(1 - ratio) * 100:.0f}% below baseline {base_rates[name]:.3g}")
-            (failures if comparable else warnings).append(msg)
-    if not comparable:
-        print("\ncheck_bench: machine_info differs from the committed baseline — "
-              "absolute regressions are warnings, ratio gates still apply")
+            failures.append(f"{name}: {cur_rates[name]:.3g} sym/s is "
+                            f"{(1 - ratio) * 100:.0f}% below baseline {base_rates[name]:.3g}")
 
     # 2. machine-independent ratio gates on the fresh artifact
     for num, den, floor in RATIO_GATES:
@@ -211,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(f"{name} at {cur_rates[name]:.3g} sym/s is below {floor:.0e}")
 
     for msg in warnings:
-        print(f"check_bench: WARNING (cross-machine): {msg}")
+        print(f"check_bench: WARNING: {msg}")
     if failures:
         print("\ncheck_bench: FAILED")
         for msg in failures:

@@ -149,7 +149,7 @@ from repro.serving.worker import RetrainWorker
 
 #: The public API, tiered by subsystem.  ``from repro.serving import *``
 #: imports exactly this surface — internal helpers stay underscore-private
-#: in their modules (``engine._phase``, the tracer's packed-tuple ring,
+#: in their modules (``engine._stage``, the tracer's packed-tuple ring,
 #: ``batching._session_request``).
 __all__ = [
     # engine + fleet

@@ -4,30 +4,30 @@
 fabric scaled out to many streams: after (re)training, every session serves
 traffic through a cheap centroid demapper, and the runtime's job is to keep
 the fused kernels full *and* every session's receiver state tracking its
-channel.  One serving *round* (:meth:`ServingEngine.step`):
+channel.  One serving *round* (:meth:`ServingEngine.step`) runs the named
+stages of :data:`~repro.serving.observability.profiling.ENGINE_PHASES`:
 
-1. install any retrained demappers the background worker has finished
-   (atomic per-session swap — no global pause);
-2. ask the deficit-round-robin scheduler (:mod:`repro.serving.scheduler`)
-   for this round's per-session frame quotas (QoS weights: heavy sessions
-   may take several frames per round from deep queues);
-3. serve the quotas in *waves* — each wave pulls at most one frame per
-   session and coalesces across sessions into micro-batches
-   (:mod:`repro.serving.batching`): sessions sharing a centroid set/frame
-   length ride one ``maxlog_llrs_multi`` launch with a per-session σ²
-   vector;
-4. per frame: threshold the LLRs, measure pilot/payload BER
-   (:func:`repro.link.frames.frame_bers`), fold the pilots' noise estimate
-   into the session's σ² (:func:`repro.link.estimation.
-   estimate_noise_sigma2`, EWMA), feed the session's monitor, and on a
-   trigger climb the adaptation ladder: a rigid centroid-tracking update
-   first (engine-thread, session stays live), a retrain+re-extract job
-   (:mod:`repro.serving.worker`) only when the impairment is non-rigid or
-   degradation persists — the retraining session pauses, everyone else
-   keeps streaming.
+1. ``absorb-outcomes``: install the retrained demappers the background
+   worker has finished (atomic per-session swap — no global pause);
+2. ``schedule``: the deficit-round-robin scheduler
+   (:mod:`repro.serving.scheduler`) sets per-session frame quotas (QoS
+   weights: heavy sessions may take several frames from deep queues);
+3. ``coalesce``: serve the quotas in *waves* — each wave pulls at most one
+   frame per session and coalesces across sessions into micro-batches
+   (:mod:`repro.serving.batching`); per micro-batch, ``demap-launch`` runs
+   one ``maxlog_llrs_multi`` launch with a per-session σ² vector,
+   ``accounting`` measures pilot BER, ``sigma2-estimate`` the pilots' noise
+   (:func:`repro.link.estimation.estimate_noise_sigma2_batch`) and
+   ``control-plane``, per frame, folds that into the session's σ² (EWMA),
+   feeds its monitor and on a trigger climbs the adaptation ladder: a rigid
+   centroid-tracking update first (session stays live), a
+   ``retrain-submit`` of a retrain+re-extract job (:mod:`repro.serving.
+   worker`) only when the impairment is non-rigid or degradation persists
+   — the retraining session pauses, everyone else keeps streaming;
+4. ``weight-control``: the optional SLO weight controller.
 
-Sessions declaring a :class:`~repro.serving.coding.CodedFrameConfig` add a
-decode stage to step 4: the frame's payload LLRs are routed through
+Sessions declaring a :class:`~repro.serving.coding.CodedFrameConfig` add the
+``decode`` stage before ``control-plane``: payload LLRs are routed through
 deinterleave → soft Viterbi (the ``viterbi_decode`` backend kernel, one
 launch per coded group so sessions sharing a code share the trellis
 tables) → CRC check.  The verdict feeds a second degradation monitor —
@@ -72,8 +72,8 @@ weights 1, no observers).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +105,17 @@ from repro.serving.worker import RetrainWorker
 
 __all__ = ["ServingEngine"]
 
-#: shared no-op context — the cost of profiling when no profiler is attached
-_NULL_CTX = nullcontext()
+
+class _Accounts(NamedTuple):
+    """What the ``accounting`` stage hands the later stages, per row."""
+
+    row_ok: np.ndarray      # (S,) every LLR finite — the poison guard
+    idx: np.ndarray         # (S, n) transmitted symbol indices
+    pmask: np.ndarray       # (S, n) pilot mask
+    w: int                  # pilot span: one past the last pilot column
+    pilot_syms: np.ndarray  # (S,) pilot symbols
+    pilot_errs: np.ndarray  # (S,) pilot bit errors
+    err_sym: np.ndarray     # (S, span) bit errors per accounted symbol
 
 
 class ServingEngine:
@@ -122,8 +131,9 @@ class ServingEngine:
 
     Every engine event has one recording path: :meth:`_record` traces it
     (the only ``Tracer.emit`` call site), :meth:`_record_failure` writes a
-    failure to the log, its counters and the trace, and
-    :meth:`_record_health` does the same for a health transition.  Only
+    failure to the log, its counters and the trace, :meth:`_record_health`
+    does the same for a health transition, and :meth:`_stage` times and
+    traces a round stage.  Only
     the per-frame instants (``frame.submit`` / ``batched`` / ``decoded`` /
     ``crc_fail`` / ``served``) call ``Tracer.emit_instant`` directly.
     """
@@ -156,9 +166,18 @@ class ServingEngine:
         self._metric_labels: dict[str, str] | None = None
 
     # -- observability -------------------------------------------------------
-    def _phase(self, name: str):
-        """Context manager timing one phase (shared no-op when unprofiled)."""
-        return _NULL_CTX if self.profiler is None else self.profiler.phase(name)
+    def _clock(self) -> float:
+        """Start a round stage: the wall clock when profiled, else 0.0."""
+        return perf_counter() if self.profiler is not None else 0.0
+
+    def _stage(self, name: str, t0: float, session_id: str | None = None, **args) -> None:
+        """Close the round stage ``name`` started at ``t0 = self._clock()``:
+        account its wall time to the profiler (``width`` also keys a kernel
+        launch) and trace ``phase.<name>`` with ``args`` — one call, so the
+        profiled and traced stage names are one vocabulary."""
+        if self.profiler is not None:
+            self.profiler.account(name, perf_counter() - t0, args.get("width"))
+        self._record("phase." + name, session_id, **args)
 
     def _record(self, name: str, session_id: str | None = None, **args) -> None:
         """Trace one engine event at the current symbol tick and round.
@@ -455,71 +474,55 @@ class ServingEngine:
 
     # -- serving -------------------------------------------------------------
     def _serve_batch(self, batch: MicroBatch, key: str = "serve") -> None:
-        """Demap one micro-batch in a single launch, then account per frame.
+        """Serve one micro-batch: the batch stages of ``ENGINE_PHASES``, in
+        order, each timed and traced by one :meth:`_stage` call."""
+        llrs3, stacked_rx = self._demap_launch(batch, key)
+        acc = self._accounting(batch, llrs3, key)
+        sigma2_est = self._sigma2_estimate(batch, acc, stacked_rx, key)
+        decoded = self._decode(batch, llrs3, acc, key)
+        self._serve_frames(batch, llrs3, acc, sigma2_est, decoded)
 
-        The accounting (hard bits, truth gather, pilot error sums) is
-        vectorised over the stacked ``(S, n, k)`` tensor — integer sums
-        divided per frame, arithmetically identical to
-        :func:`repro.link.frames.frame_bers` on each frame alone — so the
-        engine's per-frame Python cost stays flat as frames shrink, which is
-        exactly the regime micro-batching exists for.
+    def _demap_launch(self, batch: MicroBatch, key: str):
+        """Stage ``demap-launch``: one fused launch → ``(S, n, k)`` LLRs and
+        the stacked received samples."""
+        t0 = self._clock()
+        llrs3, stacked_rx = batched_maxlog_llrs(
+            batch.requests, backend=self.backend, key=key, with_received=True
+        )
+        width, symbols = batch.occupancy, batch.n_symbols
+        self._stage("demap-launch", t0, ph="X", dur=symbols, width=width, symbols=symbols)
+        if self.tracer is not None:
+            emit = self.tracer.emit_instant
+            now, rnd = self.telemetry.now, self.telemetry.rounds
+            for row, (session, frame) in enumerate(zip(batch.sessions, batch.frames)):
+                emit(
+                    "frame.batched", now, rnd, session.session_id, frame.seq,
+                    {"width": width, "row": row},
+                )
+        return llrs3, stacked_rx
 
-        Only what a consumer reads is computed.  The control plane reads
-        pilot BER and pilot σ², so accounting and the batched noise
-        estimate (run only when a session has ``sigma2_alpha > 0``) cover
-        the *pilot span* ``[:, :W]``: ``W`` is one past the last column any
-        row uses as a pilot, so no pilot layout is assumed.  Both are exact
-        there — integer error sums, and σ² reductions that only lose
-        trailing zero terms.  Payload BER (full-width error sums) and the
-        :class:`ServedFrame` are built only for an ``on_frame`` hook.  The
-        finite check stays full-width: it is the poison guard.
+    def _accounting(self, batch: MicroBatch, llrs3: np.ndarray, key: str) -> _Accounts:
+        """Stage ``accounting``: the poison guard and the bit-error sums.
+
+        Vectorised over the stacked tensor — integer sums, arithmetically
+        identical to :func:`repro.link.frames.frame_bers` per frame — so
+        the per-frame Python cost stays flat as frames shrink.  The control
+        plane reads only pilot BER and pilot σ², so the sums cover the
+        *pilot span* ``[:, :W]`` (``W`` is one past the last column any row
+        uses as a pilot: no pilot layout is assumed); full-width sums feed
+        only an ``on_frame`` hook's payload BER.
         """
+        t0 = self._clock()
         be = self.backend
         s_count = batch.occupancy
         n = batch.frames[0].n_symbols
         first = batch.sessions[0].hybrid.constellation
         k = first.bits_per_symbol
-        batch_start = self.telemetry.now
-        service_time = batch.n_symbols
-        if self.profiler is not None:
-            t0 = perf_counter()
-            llrs3, stacked_rx = batched_maxlog_llrs(
-                batch.requests, backend=be, key=key, with_received=True
-            )
-            dt = perf_counter() - t0
-            self.profiler.account("demap-launch", dt)
-            self.profiler.record_launch(s_count, dt)
-        else:
-            llrs3, stacked_rx = batched_maxlog_llrs(
-                batch.requests, backend=be, key=key, with_received=True
-            )
-        tracer = self.tracer
-        rnd = self.telemetry.rounds
-        if tracer is not None:
-            self._record(
-                "phase.demap-launch",
-                ph="X",
-                dur=service_time,
-                width=s_count,
-                symbols=service_time,
-            )
-            emit = tracer.emit_instant
-            for row, (session, frame) in enumerate(zip(batch.sessions, batch.frames)):
-                emit(
-                    "frame.batched",
-                    batch_start,
-                    rnd,
-                    session.session_id,
-                    frame.seq,
-                    {"width": s_count, "row": row},
-                )
-        t_cp = perf_counter() if self.profiler is not None else 0.0
-        # post-demap poison guard: a frame with a non-finite received sample
-        # produces non-finite LLRs *in its own row only* (the kernels'
-        # distance stage is row-local), so a per-row finite check fences the
-        # poisoned frame off without touching its batchmates — the
-        # fault-isolation contract.  Rows failing the check are quarantined
-        # below: no BER/σ²/monitor update, no on_frame, not counted served.
+        # poison guard, always full-width: a non-finite received sample
+        # makes non-finite LLRs *in its own row only* (the distance stage is
+        # row-local), so a per-row check fences the frame off without
+        # touching its batchmates — the fault-isolation contract.  Failing
+        # rows get no BER/σ²/monitor update, no on_frame, no served credit.
         fin = be.workspace.scratch(key + "_fin", (s_count, n, k), dtype=np.bool_)
         np.isfinite(llrs3, out=fin)
         row_ok = fin.reshape(s_count, -1).all(axis=1)
@@ -530,8 +533,6 @@ class ServingEngine:
             np.copyto(pmask[row], frame.pilot_mask, casting="same_kind")
         pilot_cols = np.flatnonzero(pmask.any(axis=0))
         w = int(pilot_cols[-1]) + 1 if pilot_cols.size else 0
-        # the accounting span: the pilot span, or every column when a frame
-        # hook will read the payload BER
         span = n if self.on_frame is not None else w
         hat = be.workspace.scratch(key + "_hat", (s_count, span, k), dtype=np.bool_)
         np.greater(llrs3[:, :span], 0.0, out=hat)
@@ -539,58 +540,86 @@ class ServingEngine:
         np.take(first.bit_matrix, idx[:, :span].reshape(-1), axis=0, out=truth)
         err = be.workspace.scratch(key + "_err", (s_count, span, k), dtype=np.bool_)
         np.not_equal(hat, truth.reshape(s_count, span, k), out=err)
-        err_sym = err.sum(axis=2, dtype=np.int64)          # (S, span) bit errors per symbol
-        pilot_syms = pmask[:, :w].sum(axis=1, dtype=np.int64)  # (S,)
+        err_sym = err.sum(axis=2, dtype=np.int64)
+        pilot_syms = pmask[:, :w].sum(axis=1, dtype=np.int64)
         pilot_errs = np.where(pmask[:, :span], err_sym, 0).sum(axis=1, dtype=np.int64)
-        sigma2_est = None
-        if any(s.config.sigma2_alpha > 0.0 for s in batch.sessions):
-            # batched pilot noise estimation: the reference positions are the
-            # group's shared centroid set (row-local reductions — each row's
-            # estimate is independent of batch composition)
-            ref = be.workspace.scratch(key + "_ref", (s_count, w), dtype=np.complex128)
-            np.take(first.points, idx[:, :w].reshape(-1), out=ref.reshape(-1))
-            sigma2_est = estimate_noise_sigma2_batch(
-                ref, stacked_rx[:, :w], pmask[:, :w]
-            )
-        # coded decode stage: group rows by (coded config, payload bit
-        # budget) so every group shares one CodedLayout — hence one cached
-        # trellis table set and one workspace branch-metric tensor per
-        # launch.  Row-pure (each row's decode sees only its own LLRs), so
-        # the decoded timeline inherits the batching-invariance contract.
-        # Quarantined rows are excluded: non-finite LLRs never reach the ACS.
-        decoded: dict[int, tuple[np.ndarray, bool, float]] = {}
-        coded_groups: dict[tuple, list[int]] = {}
+        self._stage("accounting", t0, span=span)
+        return _Accounts(row_ok, idx, pmask, w, pilot_syms, pilot_errs, err_sym)
+
+    def _sigma2_estimate(
+        self, batch: MicroBatch, acc: _Accounts, stacked_rx: np.ndarray, key: str
+    ) -> np.ndarray | None:
+        """Stage ``sigma2-estimate``: all rows' pilot noise estimates in one
+        row-local call, or None when no row has ``sigma2_alpha > 0``.
+
+        Exact on the pilot span: the reductions only lose trailing zeros.
+        """
+        if not any(s.config.sigma2_alpha > 0.0 for s in batch.sessions):
+            return None
+        t0 = self._clock()
+        w = acc.w
+        points = batch.sessions[0].hybrid.constellation.points
+        ref = self.backend.workspace.scratch(
+            key + "_ref", (batch.occupancy, w), dtype=np.complex128
+        )
+        np.take(points, acc.idx[:, :w].reshape(-1), out=ref.reshape(-1))
+        sigma2_est = estimate_noise_sigma2_batch(ref, stacked_rx[:, :w], acc.pmask[:, :w])
+        self._stage("sigma2-estimate", t0)
+        return sigma2_est
+
+    def _decode(
+        self, batch: MicroBatch, llrs3: np.ndarray, acc: _Accounts, key: str
+    ) -> dict[int, tuple[np.ndarray, bool, float]]:
+        """Stage ``decode``: deinterleave → soft Viterbi → CRC per coded row.
+
+        Rows grouped by (coded config, payload bit budget) share one
+        CodedLayout, hence one trellis table set and one Viterbi launch.
+        Row-pure, so the decoded timeline is batching-invariant.  Poisoned
+        rows are skipped: non-finite LLRs never reach the ACS.
+        """
+        t0 = self._clock()
+        _, n, k = llrs3.shape
+        groups: dict[tuple, list[int]] = {}
         for row, session in enumerate(batch.sessions):
-            if session.config.coded is not None and row_ok[row]:
-                plen = (n - int(pilot_syms[row])) * k
-                coded_groups.setdefault((session.config.coded, plen), []).append(row)
-        t_dec = perf_counter()
-        for gi, ((coded_cfg, plen), rows_) in enumerate(coded_groups.items()):
-            layout = coded_layout(coded_cfg, plen)
-            buf = be.workspace.scratch(
-                f"{key}_coded{gi}", (len(rows_), plen), dtype=np.float64
+            if session.config.coded is not None and acc.row_ok[row]:
+                plen = (n - int(acc.pilot_syms[row])) * k
+                groups.setdefault((session.config.coded, plen), []).append(row)
+        decoded: dict[int, tuple[np.ndarray, bool, float]] = {}
+        for gi, ((coded_cfg, plen), rows) in enumerate(groups.items()):
+            # payload LLRs in symbol-major/bit-minor order — exactly the
+            # order the load generator mapped the coded bits in; every row
+            # of a group has plen payload bits, so one mask gathers them all
+            payload = llrs3[rows][~acc.pmask[rows]].reshape(len(rows), plen)
+            results = coded_layout(coded_cfg, plen).decode_rows(
+                payload, backend=self.backend, key=f"{key}_vit{gi}"
             )
-            for i, row in enumerate(rows_):
-                # payload LLRs in symbol-major/bit-minor order — exactly the
-                # order the load generator mapped the coded bits in
-                buf[i] = llrs3[row][~pmask[row]].ravel()
-            results = layout.decode_rows(buf, backend=be, key=f"{key}_vit{gi}")
-            for i, row in enumerate(rows_):
-                decoded[row] = results[i]
-        t_dec = perf_counter() - t_dec
-        if self.profiler is not None and coded_groups:
-            # the decode is its own stage, carved out of control-plane below
-            self.profiler.account("decode", t_dec)
+            decoded.update(zip(rows, results))
+        if groups:
+            self._stage("decode", t0, groups=len(groups))
+        return decoded
+
+    def _serve_frames(
+        self, batch: MicroBatch, llrs3: np.ndarray, acc: _Accounts, sigma2_est, decoded
+    ) -> None:
+        """Stage ``control-plane``: per frame, quarantine a poisoned row or
+        run :meth:`_control_plane` and record it (payload BER and the
+        :class:`ServedFrame` only for an ``on_frame`` hook)."""
+        t0 = self._clock()
+        tracer = self.tracer
+        s_count, n, k = llrs3.shape
+        batch_start = self.telemetry.now
+        rnd = self.telemetry.rounds
+        service_time = batch.n_symbols
         served_frames = s_count
         served_symbols = batch.n_symbols
         for row, (session, frame) in enumerate(zip(batch.sessions, batch.frames)):
-            if not row_ok[row]:
+            if not acc.row_ok[row]:
                 self._quarantine(session, frame)
                 served_frames -= 1
                 served_symbols -= frame.n_symbols
                 continue
-            n_pilot = int(pilot_syms[row])
-            pe = int(pilot_errs[row])
+            n_pilot = int(acc.pilot_syms[row])
+            pe = int(acc.pilot_errs[row])
             pilot_ber = pe / (n_pilot * k) if n_pilot else float("nan")
             crc_ok: bool | None = None
             post_fec_ber = float("nan")
@@ -618,30 +647,20 @@ class ServingEngine:
             self.telemetry.service_time.record(service_time)
             session.stats.queue_wait.record(queue_wait)
             if tracer is not None:
+                emit = tracer.emit_instant
+                sid = session.session_id
                 if crc_ok is not None:
-                    tracer.emit_instant(
-                        "frame.decoded",
-                        batch_start,
-                        rnd,
-                        session.session_id,
-                        frame.seq,
+                    emit(
+                        "frame.decoded", batch_start, rnd, sid, frame.seq,
                         {"crc_ok": crc_ok, "post_fec_ber": post_fec_ber},
                     )
                     if not crc_ok:
-                        tracer.emit_instant(
-                            "frame.crc_fail",
-                            batch_start,
-                            rnd,
-                            session.session_id,
-                            frame.seq,
+                        emit(
+                            "frame.crc_fail", batch_start, rnd, sid, frame.seq,
                             {"post_fec_ber": post_fec_ber},
                         )
-                tracer.emit_instant(
-                    "frame.served",
-                    batch_start,
-                    rnd,
-                    session.session_id,
-                    frame.seq,
+                emit(
+                    "frame.served", batch_start, rnd, sid, frame.seq,
                     {
                         "pilot_ber": pilot_ber,
                         "fired": fired,
@@ -652,7 +671,7 @@ class ServingEngine:
                 )
             if self.on_frame is not None:
                 n_payload = n - n_pilot
-                payload_errs = int(err_sym[row].sum(dtype=np.int64)) - pe
+                payload_errs = int(acc.err_sym[row].sum(dtype=np.int64)) - pe
                 report = ServedFrame(
                     session_id=session.session_id,
                     seq=frame.seq,
@@ -670,9 +689,7 @@ class ServingEngine:
                     post_fec_ber=post_fec_ber,
                 )
                 self.on_frame(session, frame, llrs3[row], report)
-        if self.profiler is not None:
-            self.profiler.account("control-plane", perf_counter() - t_cp - t_dec)
-        self._record("phase.control-plane", frames=s_count)
+        self._stage("control-plane", t0, frames=s_count)
         # quarantined rows rode the launch (occupancy keys on the true
         # width) but are not credited as served — and the symbol clock only
         # advances for served work, so a fault-free run's clock is
@@ -746,14 +763,14 @@ class ServingEngine:
 
     def _submit_retrain(self, session: DemapperSession) -> None:
         """Hand one retrain job to the worker under supervision."""
-        with self._phase("retrain-submit"):
-            job_rng = session.begin_retrain()
-            self.supervisor.on_submitted(session.session_id, self.telemetry.rounds)
-            self.telemetry.retrains_completed += self.worker.submit(
-                session, session.retrain, job_rng
-            )
-            self.telemetry.retrains_started += 1
-        self._record("phase.retrain-submit", session.session_id)
+        t0 = self._clock()
+        job_rng = session.begin_retrain()
+        self.supervisor.on_submitted(session.session_id, self.telemetry.rounds)
+        self.telemetry.retrains_completed += self.worker.submit(
+            session, session.retrain, job_rng
+        )
+        self.telemetry.retrains_started += 1
+        self._stage("retrain-submit", t0, session.session_id)
 
     def _quarantine(self, session: DemapperSession, frame: ServingFrame) -> None:
         """Fence off a session whose demap produced non-finite LLRs."""
@@ -891,39 +908,37 @@ class ServingEngine:
         its quota this round on its last-good demapper.
         """
         self._record("round.begin", sessions=len(self._sessions))
-        with self._phase("absorb-outcomes"):
-            self.telemetry.retrains_completed += self.worker.poll()
-            self._absorb_worker_outcomes()
-            self._expire_hung_jobs()
-            self._launch_due_retries()
-            self._absorb_worker_outcomes()
-            self._finish_drains()
-        self._record("phase.absorb-outcomes")
-        with self._phase("schedule"):
-            quotas = self.scheduler.allocate(self.sessions)
-        self._record("phase.schedule", quota=sum(quotas.values()))
+        t0 = self._clock()
+        self.telemetry.retrains_completed += self.worker.poll()
+        self._absorb_worker_outcomes()
+        self._expire_hung_jobs()
+        self._launch_due_retries()
+        self._absorb_worker_outcomes()
+        self._finish_drains()
+        self._stage("absorb-outcomes", t0)
+        t0 = self._clock()
+        quotas = self.scheduler.allocate(self.sessions)
+        self._stage("schedule", t0, quota=sum(quotas.values()))
         served = 0
         wave = 0
         while True:
+            t0 = self._clock()
             pulls = []
-            with self._phase("coalesce"):
-                for session in self.sessions:
-                    if quotas.get(session.session_id, 0) > 0 and session.ready:
-                        frame, tick = session.pop()
-                        quotas[session.session_id] -= 1
-                        pulls.append((session, frame, tick))
-                batches = (
-                    coalesce(pulls, max_batch=self.max_batch) if pulls else []
-                )
+            for session in self.sessions:
+                if quotas.get(session.session_id, 0) > 0 and session.ready:
+                    frame, tick = session.pop()
+                    quotas[session.session_id] -= 1
+                    pulls.append((session, frame, tick))
             if not pulls:
                 break
+            batches = coalesce(pulls, max_batch=self.max_batch)
             if wave:
                 # an inline retrain resolves synchronously mid-round: the
                 # supervisor must see its outcome before the session's next
                 # frame, exactly as a round boundary would have shown it
                 self._absorb_worker_outcomes()
-            self._record(
-                "phase.coalesce", wave=wave, pulls=len(pulls), batches=len(batches)
+            self._stage(
+                "coalesce", t0, wave=wave, pulls=len(pulls), batches=len(batches)
             )
             for i, batch in enumerate(batches):
                 # per-(wave, position) scratch keys: rounds with several
@@ -933,9 +948,10 @@ class ServingEngine:
             served += len(pulls)
             wave += 1
         self._finish_drains()
-        with self._phase("weight-control"):
-            if self.weight_controller is not None:
-                self.weight_controller.on_round(self.sessions, now=self.telemetry.now)
+        t0 = self._clock()
+        if self.weight_controller is not None:
+            self.weight_controller.on_round(self.sessions, now=self.telemetry.now)
+        self._stage("weight-control", t0)
         self._record("round.end", served=served, waves=wave)
         self.telemetry.rounds += 1
         return served

@@ -3,42 +3,38 @@
 Where the :class:`~repro.serving.observability.tracing.Tracer` orders
 events on the deterministic symbol clock, the :class:`RoundProfiler`
 answers the one question that clock cannot: *where does the wall time go?*
-Attached via ``EngineConfig(profiler=...)`` it accumulates
-``perf_counter`` timings per round phase (``absorb-outcomes`` /
-``schedule`` / ``coalesce`` / ``demap-launch`` / ``control-plane`` /
-``decode`` / ``retrain-submit`` / ``weight-control``) and per-batch
-kernel-launch timings keyed by launch width — the data that says whether
-coalescing is amortizing launch overhead, the FEC decode or the per-frame
-control plane is eating the round.  Each name is recorded in one place:
-``control-plane`` is a batch's post-demap work (retrain submits included)
-minus its coded ``decode`` stage, which only batches carrying coded rows
-record, and ``weight-control`` is the once-per-round SLO weight
-controller.
+Attached via ``EngineConfig(profiler=...)`` it accumulates wall seconds
+per round stage and per kernel-launch width — the data that says whether
+coalescing is amortizing launch overhead, or the accounting, the FEC
+decode or the per-frame control plane is eating the round.
+:data:`ENGINE_PHASES` is the stage vocabulary: the engine closes every
+stage with one call that both accounts it here and traces
+``phase.<name>``, so the profiled phases and the traced ``phase.*`` events
+are always the same names.
 
 Observe-only and off by default: the engine consults nothing here, wall
 timings never reach the deterministic state, and with no profiler attached
-the hot path's only cost is a ``None`` check (the phase context manager is
-a shared no-op).  Wall numbers are inherently machine/noise dependent —
-they belong in dashboards and ``obs_report``, never in deterministic
-snapshots or test assertions.
+the hot path's only cost is a ``None`` check.  Wall numbers are inherently
+machine/noise dependent — they belong in dashboards and ``obs_report``,
+never in deterministic snapshots or test assertions.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from time import perf_counter
-
 __all__ = ["RoundProfiler"]
 
-#: The engine's round phases, in round order (the profiler accepts any
-#: name — this is the set the engine emits).
+#: The engine's round stages in round order (:mod:`repro.serving.engine`
+#: describes them), each profiled under its name and traced as
+#: ``phase.<name>``; the profiler itself accepts any name.
 ENGINE_PHASES = (
     "absorb-outcomes",
     "schedule",
     "coalesce",
     "demap-launch",
-    "control-plane",
+    "accounting",
+    "sigma2-estimate",
     "decode",
+    "control-plane",
     "retrain-submit",
     "weight-control",
 )
@@ -73,6 +69,13 @@ class _StageStat:
         }
 
 
+def _add(table: dict, key, seconds: float) -> None:
+    stat = table.get(key)
+    if stat is None:
+        stat = table[key] = _StageStat()
+    stat.add(seconds)
+
+
 class RoundProfiler:
     """Accumulates wall-clock per-phase and per-launch-width timings."""
 
@@ -81,28 +84,12 @@ class RoundProfiler:
         #: kernel-launch timings keyed by coalesced width (frames/launch)
         self.launches: dict[int, _StageStat] = {}
 
-    @contextmanager
-    def phase(self, name: str):
-        """Time one phase occurrence (context manager)."""
-        t0 = perf_counter()
-        try:
-            yield
-        finally:
-            self.account(name, perf_counter() - t0)
-
-    def account(self, name: str, seconds: float) -> None:
-        """Add one timed occurrence of a phase."""
-        stat = self.phases.get(name)
-        if stat is None:
-            stat = self.phases[name] = _StageStat()
-        stat.add(seconds)
-
-    def record_launch(self, width: int, seconds: float) -> None:
-        """Add one kernel-launch timing under its coalesced width."""
-        stat = self.launches.get(width)
-        if stat is None:
-            stat = self.launches[width] = _StageStat()
-        stat.add(seconds)
+    def account(self, name: str, seconds: float, width: int | None = None) -> None:
+        """Add one timed occurrence of a phase; a kernel launch also passes
+        its coalesced ``width`` and is added under :attr:`launches` too."""
+        _add(self.phases, name, seconds)
+        if width is not None:
+            _add(self.launches, width, seconds)
 
     def clear(self) -> None:
         self.phases.clear()

@@ -5,10 +5,9 @@ The serving runtime's counters (:mod:`repro.serving.telemetry`) answer
 frame's lifecycle (``frame.submit`` → ``frame.batched`` →
 ``frame.decoded`` (+ ``frame.crc_fail`` on a failed CRC, coded sessions
 only) → ``frame.served`` / ``frame.dropped`` / ``frame.quarantined``),
-every engine round phase
-(``phase.absorb-outcomes`` / ``phase.schedule`` / ``phase.coalesce`` /
-``phase.demap-launch`` / ``phase.control-plane`` /
-``phase.retrain-submit``), the retrain lifecycle (``retrain.install`` /
+every engine round stage (``phase.<name>`` for each name in
+:data:`~repro.serving.observability.profiling.ENGINE_PHASES`, the same
+names a profiler records), the retrain lifecycle (``retrain.install`` /
 ``retrain.retry`` / ``retrain.hung``), every failure record (``fault.*``)
 and every health transition (``session.health``) land here as
 :class:`TraceEvent` entries.

@@ -75,7 +75,6 @@ from repro.extraction.monitor import (
     TIER_TRACK,
     AdaptationLadder,
     DegradationMonitor,
-    MonitorState,
 )
 from repro.extraction.tracking import CentroidTracker
 from repro.link.frames import FrameConfig
@@ -564,10 +563,6 @@ class DemapperSession:
         return self._queue.popleft()
 
     # -- telemetry -----------------------------------------------------------
-    def monitor_state(self) -> MonitorState:
-        """Snapshot of the session's monitor (no private-deque reaching)."""
-        return self.monitor.state()
-
     def register_metrics(
         self,
         registry,

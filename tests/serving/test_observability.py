@@ -31,6 +31,7 @@ from oracle import (
     PLAIN,
     S10,
     Draw,
+    Scenario,
     check,
     clean_traffic,
     jump_traffic,
@@ -55,6 +56,18 @@ from repro.serving import (
 from repro.serving.obs_report import export_run, main, render_dashboard
 from repro.serving.observability import ENGINE_PHASES
 from repro.serving.telemetry import EngineStats, LatencyHistogram, SessionStats
+
+TRACK_CODED = Scenario(tracking=True, coded=True, groups=1)
+
+
+@pytest.fixture(scope="module")
+def staged_run():
+    """One profiled, traced run that enters every round stage: tracking
+    sessions (α > 0) that retrain, coded and uncoded rows, width-2 batches
+    (some without a coded row)."""
+    tracer, prof = Tracer(), RoundProfiler()
+    engine = run(Draw(TRACK_CODED, max_batch=2), tracer=tracer, profiler=prof)[1]
+    return engine, tracer, prof
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +421,18 @@ class TestTracingPassivity:
         for sid in sids:
             assert projection(got_tracer, sid) == projection(ref_tracer, sid)
 
-    def test_lifecycle_event_names_present(self):
-        tracer = Tracer()
-        run(Draw(PLAIN, max_batch=8), tracer=tracer)
+    def test_lifecycle_event_names_present(self, staged_run):
+        engine, tracer, prof = staged_run
         names = {e.name for e in tracer.events}
         assert {
             "round.begin", "round.end", "frame.submit", "frame.batched",
-            "frame.served", "session.join", "retrain.install",
+            "frame.decoded", "frame.served", "session.join", "retrain.install",
         } <= names
-        # decode and weight-control are profiler-only stages (and this
-        # fleet is uncoded); every other phase is traced
-        traced = set(ENGINE_PHASES) - {"decode", "weight-control"}
-        assert {f"phase.{p}" for p in traced} <= names
-        # backpressure shows up as reasoned rejects (queue_depth=4, 10 frames)
+        # one stage vocabulary: every stage the profiler timed is traced
+        # under the same name, and this run enters every stage
+        traced = {n.removeprefix("phase.") for n in names if n.startswith("phase.")}
+        assert traced == set(prof.phases) == set(ENGINE_PHASES)
+        # backpressure shows up as reasoned rejects (queue_depth=4, 8 frames)
         rejects = [e for e in tracer.events if e.name == "frame.reject"]
         assert rejects and all(
             e.args["reason"] == "backpressure" for e in rejects
@@ -431,18 +443,36 @@ class TestTracingPassivity:
 # profiler + fault-path events + worker gauges (satellite b)
 # ---------------------------------------------------------------------------
 class TestProfilerAndFaultEvents:
-    def test_profiler_covers_all_phases_with_sane_counts(self):
-        prof = RoundProfiler()
-        engine = run(Draw(PLAIN, max_batch=8), profiler=prof)[1]
-        # an uncoded fleet never enters the decode stage
-        assert set(prof.phases) == set(ENGINE_PHASES) - {"decode"}
-        rounds = engine.telemetry.rounds
-        assert prof.phases["schedule"].count == rounds
-        assert prof.phases["absorb-outcomes"].count == rounds
-        assert prof.phases["weight-control"].count == rounds
-        assert prof.phases["demap-launch"].count == engine.telemetry.batches
-        assert prof.phases["control-plane"].count == engine.telemetry.batches
-        assert sum(s.count for s in prof.launches.values()) == engine.telemetry.batches
+    def test_profiler_covers_all_phases_with_sane_counts(self, staged_run):
+        engine, tracer, prof = staged_run
+        rounds, batches = engine.telemetry.rounds, engine.telemetry.batches
+        for stage in ("absorb-outcomes", "schedule", "weight-control"):
+            assert prof.phases[stage].count == rounds
+        for stage in ("demap-launch", "accounting", "control-plane"):
+            assert prof.phases[stage].count == batches
+        assert sum(s.count for s in prof.launches.values()) == batches
+        # per batch (the frame.batched rows after each demap-launch), the
+        # stages run in order, sigma2-estimate only with an α > 0 row and
+        # decode only with a coded row; retrain-submit nests in control-plane
+        config = {s.session_id: s.config for s in engine.sessions}
+        after_launch = {"accounting", "sigma2-estimate", "decode", "control-plane"}
+        stages, rows = [], []
+        for e in tracer.events:
+            if e.name == "phase.demap-launch":
+                stages.append([])
+                rows.append([])
+            elif e.name == "frame.batched":
+                rows[-1].append(config[e.session_id])
+            elif e.name.removeprefix("phase.") in after_launch:
+                stages[-1].append(e.name.removeprefix("phase."))
+        assert len(stages) == batches
+        for got, cfgs in zip(stages, rows):
+            want = ["accounting"]
+            want += ["sigma2-estimate"] * any(c.sigma2_alpha > 0 for c in cfgs)
+            want += ["decode"] * any(c.coded is not None for c in cfgs)
+            assert got == want + ["control-plane"]
+        assert 0 < prof.phases["decode"].count < batches
+        assert prof.phases["sigma2-estimate"].count == batches
         for stat in prof.phases.values():
             snap = stat.snapshot()
             assert snap["total_s"] >= 0 and snap["min_s"] <= snap["max_s"]
