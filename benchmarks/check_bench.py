@@ -28,7 +28,7 @@ micro-benchmark suite (which rewrites the artifact in place), and compares:
      decoded one launch each,
    * max-log demapping >= 1e6 sym/s (the historical floor, generous on any
      hardware this decade),
-   * coded serving >= 5e5 decoded info bits/s (absolute floor on the
+   * coded serving >= 1e6 decoded info bits/s (absolute floor on the
      ``serving_coded[numpy]`` round: demap + row-batched Viterbi + CRC).
 3. **Environment-conditional ratio gates** — same invariant style, but the
    underlying benchmark only runs on capable machines, so an absent pair is
@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -99,11 +100,12 @@ ENV_BENCH_NAMES = frozenset(
 
 #: (benchmark, sym/s floor) — absolute floors low enough to be
 #: machine-independent in practice.  ``serving_coded`` counts decoded info
-#: bits: the row-batched decoder measures ~1e6/s on 2 vCPUs, the floor
-#: leaves 2x headroom.
+#: bits: the row-batched decoder with label metrics and the matrix CRC
+#: measured 2.1–3.6e6/s over 6 bench runs on 2 vCPUs, so the floor leaves
+#: >= 2x headroom.
 ABSOLUTE_FLOORS = [
     ("maxlog_llrs[numpy]", 1e6),
-    ("serving_coded[numpy]", 5e5),
+    ("serving_coded[numpy]", 1e6),
 ]
 
 
@@ -131,8 +133,14 @@ def run_suite() -> None:
         str(REPO / "benchmarks" / "bench_micro.py"),
         "--benchmark-only", "-q", "-p", "no:cacheprovider",
     ]
+    # src/ first on the child's path, so the suite imports this checkout's
+    # package with or without an editable install
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
     print(f"check_bench: running {' '.join(cmd)}", flush=True)
-    result = subprocess.run(cmd, cwd=REPO)
+    result = subprocess.run(cmd, cwd=REPO, env=env)
     if result.returncode != 0:
         sys.exit("check_bench: benchmark suite failed (in-bench assertion?)")
 

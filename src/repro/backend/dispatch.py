@@ -226,9 +226,10 @@ def grouped_viterbi_decode(
     The coded sibling of :func:`batched_maxlog_llrs`: callers (the serving
     engine) group coalesced frames by their
     :class:`~repro.serving.coding.CodedFrameConfig`, so every block of a
-    launch shares ``code``'s trellis.  One einsum contracts the whole
-    ``(R, T, n_out)`` stack against the (cached) output table into a
-    ``key``-namespaced workspace branch-metric tensor, and one
+    launch shares ``code``'s trellis.  One branch-metric einsum gives
+    the ``2^n_out`` label metrics per step, one ``take`` puts them in
+    arrival order as the step-major ``(T, R, S, 2)`` tensor (both
+    ``key``-namespaced float64 workspace scratch), and one
     ``viterbi_decode`` kernel call decodes every row.
 
     Parameters
@@ -262,7 +263,13 @@ def grouped_viterbi_decode(
     r, n_steps, n_out = blocks.shape
     if n_out != code.n_out:
         raise ValueError(f"blocks carry {n_out} LLRs per step, code emits {code.n_out}")
-    src, inb, outputs = code.trellis_tables()
-    bm = be.scratch(f"{key}_bm", (r, n_steps, code.n_states, 2), dtype=np.float64)
-    np.einsum("rtj,sbj->rtsb", blocks, outputs, out=bm)
-    return be.viterbi_decode(bm, src, inb, key=key)
+    src, labels, label_bits = code.trellis_tables()
+    # a step-major einsum output is strided and twice as slow: transpose
+    # the small label table instead
+    lm = be.scratch(f"{key}_lm", (r, n_steps, len(label_bits)), dtype=np.float64)
+    np.einsum("rtj,cj->rtc", blocks, label_bits, out=lm)
+    lm_t = be.scratch(f"{key}_lmt", (n_steps, r, len(label_bits)), dtype=np.float64)
+    np.copyto(lm_t, lm.transpose(1, 0, 2))
+    arrivals = be.scratch(f"{key}_gat", (n_steps, r, code.n_states, 2), dtype=np.float64)
+    lm_t.take(labels, axis=2, out=arrivals, mode="clip")
+    return be.viterbi_decode(arrivals, src, key=key)

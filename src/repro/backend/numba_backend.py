@@ -172,13 +172,13 @@ def _get_kernels() -> SimpleNamespace:  # pragma: no cover - needs numba install
             out[i] = arg
 
     @njit(cache=True)
-    def viterbi(bm, src, inb, prev, bits, metrics):
-        # row-batched terminated-trellis ACS + traceback, one row at a time;
-        # strict `>` on arrival 1 is the first-wins tie-break of every tier,
-        # and each arrival is the same single IEEE double add
-        n_rows = bm.shape[0]
-        n_steps = bm.shape[1]
-        n_states = bm.shape[2]
+    def viterbi(gat, src, prev, bits, metrics):
+        # row-batched terminated-trellis ACS + traceback over (T, R, S, 2)
+        # arrival metrics, one row at a time; strict `>` on arrival 1 is the
+        # first-wins tie-break of every tier, each arrival one IEEE add
+        n_steps = gat.shape[0]
+        n_rows = gat.shape[1]
+        n_states = gat.shape[2]
         metric = np.empty(n_states, dtype=np.float64)
         nxt = np.empty(n_states, dtype=np.float64)
         for r in range(n_rows):
@@ -189,8 +189,8 @@ def _get_kernels() -> SimpleNamespace:  # pragma: no cover - needs numba install
                 for s in range(n_states):
                     s0 = src[s, 0]
                     s1 = src[s, 1]
-                    a0 = metric[s0] + bm[r, t, s0, inb[s, 0]]
-                    a1 = metric[s1] + bm[r, t, s1, inb[s, 1]]
+                    a0 = metric[s0] + gat[t, r, s, 0]
+                    a1 = metric[s1] + gat[t, r, s, 1]
                     if a1 > a0:
                         nxt[s] = a1
                         prev[t, s] = s1
@@ -296,14 +296,14 @@ class NumbaBackend(NumpyBackend):
         self._k.hard(yr, yi, c_re, c_im, out)
         return out.reshape(y.shape) if y.ndim != 1 else out
 
-    def viterbi_decode(self, branch_metrics, src, inb, *, key="viterbi"):  # pragma: no cover - needs numba
-        bm, src, inb = _check_viterbi_args(branch_metrics, src, inb)
-        n_rows, n_steps, n_states = bm.shape[:3]
+    def viterbi_decode(self, arrivals, src, *, key="viterbi"):  # pragma: no cover - needs numba
+        gat, src = _check_viterbi_args(arrivals, src)
+        n_steps, n_rows, n_states = gat.shape[:3]
         # one row's predecessor table, reused across rows (cache-resident)
         prev = self.scratch(key + "_prev", (n_steps, n_states), dtype=np.int64)
         bits = np.empty((n_rows, n_steps), dtype=np.int8)
         metrics = np.empty(n_rows, dtype=np.float64)
-        self._k.viterbi(bm, src, inb, prev, bits, metrics)
+        self._k.viterbi(gat, src, prev, bits, metrics)
         return bits, metrics
 
     def gemm_i64(self, x, weight, bias=None):  # pragma: no cover - needs numba

@@ -54,24 +54,19 @@ def _check_llr_out(out: np.ndarray | None, n: int, k: int) -> np.ndarray:
 
 
 def _check_viterbi_args(
-    branch_metrics: np.ndarray, src: np.ndarray, inb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate ``viterbi_decode``'s ``(R, T, S, 2)`` branch metrics and the
-    ``(S, 2)`` arrival tables; returns them as contiguous float64/int64."""
-    bm = np.ascontiguousarray(branch_metrics, dtype=np.float64)
-    if bm.ndim != 4 or bm.shape[3] != 2:
-        raise ValueError(
-            f"branch_metrics must be (R, n_steps, n_states, 2), got {bm.shape}"
-        )
-    n_states = bm.shape[2]
+    arrivals: np.ndarray, src: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``viterbi_decode``'s ``(T, R, S, 2)`` arrival branch metrics
+    and the ``(S, 2)`` source table; returns them as contiguous
+    float64/int64."""
+    gat = np.ascontiguousarray(arrivals, dtype=np.float64)
+    if gat.ndim != 4 or gat.shape[3] != 2:
+        raise ValueError(f"arrivals must be (n_steps, R, n_states, 2), got {gat.shape}")
+    n_states = gat.shape[2]
     src = np.ascontiguousarray(src, dtype=np.int64)
-    inb = np.ascontiguousarray(inb, dtype=np.int64)
-    if src.shape != (n_states, 2) or inb.shape != (n_states, 2):
-        raise ValueError(
-            f"src/inb must be ({n_states}, 2) arrival tables, "
-            f"got {src.shape} and {inb.shape}"
-        )
-    return bm, src, inb
+    if src.shape != (n_states, 2):
+        raise ValueError(f"src must be a ({n_states}, 2) arrival table, got {src.shape}")
+    return gat, src
 
 
 def _check_multi_args(
@@ -394,65 +389,57 @@ class NumpyBackend:
     # -- decoding kernels ----------------------------------------------------
     def viterbi_decode(
         self,
-        branch_metrics: np.ndarray,
+        arrivals: np.ndarray,
         src: np.ndarray,
-        inb: np.ndarray,
         *,
         key: str = "viterbi",
     ) -> tuple[np.ndarray, np.ndarray]:
         """Terminated-trellis Viterbi ACS + traceback over ``R`` rows at once.
 
-        ``branch_metrics[r, t, s, b]`` is row ``r``'s (finite) metric of
-        leaving state ``s`` with input bit ``b`` at step ``t``;
-        ``src``/``inb`` are the destination-grouped ``(n_states, 2)``
-        arrival tables
-        (:meth:`repro.ecc.convolutional.ConvolutionalCode.trellis_tables`).
-        Every row starts and ends in state 0; the input bit that led into a
+        ``arrivals[t, r, ns, i]`` is row ``r``'s (finite) branch metric at
+        step ``t`` of arrival ``i`` into state ``ns``, which leaves source
+        state ``src[ns, i]`` (the destination-grouped ``(n_states, 2)``
+        table of
+        :meth:`repro.ecc.convolutional.ConvolutionalCode.trellis_tables`).
+        The tensor is overwritten with the arrival path metrics.  Every
+        row starts and ends in state 0; the input bit that led into a
         state is its LSB, so traceback only needs predecessor states.
         Returns ``(bits, path_metrics)`` — the full decoded paths as int8
         ``(R, T)`` (termination tail included; callers slice it off) and
         the winning terminated metrics as float64 ``(R,)``.
 
-        Each trellis step is one ``(R, S, 2)`` arrivals tensor: every
-        arrival is the same single IEEE add as the scalar recursion, and
-        arrival 1 wins only on a strict ``>`` (first-wins ties), so a row's
-        result is exactly its solo decode and never depends on which rows
-        share the launch.  The ACS intermediates are pinned to float64 (the
-        float32 tier inherits the method unchanged) and live in
-        ``key``-namespaced workspace scratch, including the one ``(T, R, S)``
-        int64 predecessor table the batched traceback walks.
+        A step is three calls over its ``(R, S, 2)`` page: gather the
+        source metrics, add them in place (the scalar recursion's single
+        IEEE add) and keep the larger arrival.  The decisions then come
+        from one strict ``>`` over all steps (first-wins ties);
+        ``maximum`` returns the winner's value because no arrival is ever
+        −0.0 (the start metric is +0.0, and a sum is −0.0 only if both
+        terms are).  So a row decodes exactly as it would alone.  The ACS
+        intermediates are pinned to float64 (the float32 tier inherits the
+        method) and live in ``key``-namespaced workspace scratch, including
+        the ``(T, R, S)`` int64 predecessor table the traceback walks.
         """
-        bm, src, inb = _check_viterbi_args(branch_metrics, src, inb)
-        n_rows, n_steps, n_states = bm.shape[:3]
-        # arrival-ordered branch metrics, gathered once for the whole block:
-        # gat[r, t, ns, i] = bm[r, t, src[ns, i], inb[ns, i]]
-        flat = self.scratch(key + "_flat", (n_states, 2), dtype=np.int64)
-        np.multiply(src, 2, out=flat)
-        np.add(flat, inb, out=flat)
-        gat = self.scratch(key + "_gat", bm.shape, dtype=np.float64)
-        np.take(bm.reshape(n_rows, n_steps, 2 * n_states), flat, axis=2, out=gat)
-        # flat gather indices: the (R, S, 2) arrival sources in the (R, S)
-        # metric page, and arrival 0 of each destination in the arrivals
+        gat, src = _check_viterbi_args(arrivals, src)
+        n_steps, n_rows, n_states = gat.shape[:3]
+        # flat gather indices of the (R, S, 2) arrival sources in the
+        # (R, S) metric page
         rows = np.arange(n_rows, dtype=np.int64)[:, None]
         src_at = self.scratch(key + "_src_at", (n_rows, n_states, 2), dtype=np.int64)
         np.add(rows[:, :, None] * n_states, src, out=src_at)
-        arr0_at = rows * (2 * n_states) + 2 * np.arange(n_states, dtype=np.int64)
         metric = self.scratch(key + "_metric", (n_rows, n_states), dtype=np.float64)
         arr = self.scratch(key + "_arr", (n_rows, n_states, 2), dtype=np.float64)
-        win = self.scratch(key + "_win", (n_steps, n_rows, n_states), dtype=np.bool_)
-        pick = self.scratch(key + "_pick", (n_rows, n_states), dtype=np.int64)
         metric.fill(-np.inf)
         metric[:, 0] = 0.0
-        m_flat, a_flat = metric.reshape(-1), arr.reshape(-1)
-        a0, a1 = arr[..., 0], arr[..., 1]
+        m_flat, g0, g1 = metric.reshape(-1), gat[..., 0], gat[..., 1]
         # ndarray.take(mode="clip") skips np.take's wrapper and bounds
-        # buffering; every index here is in range by construction
-        for t in range(n_steps):
+        # buffering (every index is in range); iterating gives the per-step
+        # views more cheaply than indexing
+        for step, a0, a1 in zip(gat, g0, g1):
             m_flat.take(src_at, out=arr, mode="clip")
-            np.add(arr, gat[:, t], out=arr)           # arrivals (R, S, 2)
-            np.greater(a1, a0, out=win[t])            # first-wins: strict >
-            np.add(arr0_at, win[t], out=pick)
-            a_flat.take(pick, out=metric, mode="clip")
+            np.add(arr, step, out=step)               # arrivals (R, S, 2)
+            np.maximum(a0, a1, out=metric)
+        win = self.scratch(key + "_win", (n_steps, n_rows, n_states), dtype=np.bool_)
+        np.greater(g1, g0, out=win)                   # first-wins: strict >
         # predecessors as flat indices into one step's (R, S) page, so the
         # traceback is a single gather per step over every row at once
         prev = self.scratch(key + "_prev", (n_steps, n_rows, n_states), dtype=np.int64)
@@ -460,8 +447,9 @@ class NumpyBackend:
         np.add(prev, src_at[..., 0], out=prev)
         path = self.scratch(key + "_path", (n_steps, n_rows), dtype=np.int64)
         path[-1] = rows[:, 0] * n_states              # every row ends in state 0
-        for t in range(n_steps - 1, 0, -1):
-            prev[t].reshape(-1).take(path[t], out=path[t - 1], mode="clip")
+        steps_back = zip(prev.reshape(n_steps, -1)[:0:-1], path[:0:-1], path[-2::-1])
+        for page, here, before in steps_back:
+            page.take(here, out=before, mode="clip")
         # row offsets are multiples of n_states (even), so the LSB of a flat
         # index is the LSB of its state: the input bit that led into it
         bits = np.empty((n_rows, n_steps), dtype=np.int8)

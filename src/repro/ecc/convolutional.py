@@ -118,29 +118,26 @@ class ConvolutionalCode:
 
     # -- decode -----------------------------------------------------------------
     def trellis_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The kernel decoder's view of the trellis: ``(src, inb, outputs)``.
+        """The kernel decoder's view of the trellis: ``(src, labels, label_bits)``.
 
-        ``src``/``inb`` group the transitions by destination: for every next
-        state exactly two (source state, input bit) arrivals, as int64
-        ``(n_states, 2)`` tables with ``next_state[src[ns, i], inb[ns, i]]
-        == ns``.  ``outputs`` is the per-(state, input) coded-bit table as
-        float64 ``(n_states, 2, n_out)`` — the operand LLRs are contracted
-        against.  All three depend only on the (immutable) generator set,
-        are built once and must be treated as read-only
-        (:func:`repro.backend.dispatch.grouped_viterbi_decode` hands them to
-        the kernel verbatim, so sessions sharing a code share one table set).
+        Next state ``ns`` has two arrivals ``i``, from source states
+        ``src[ns, i]`` (int64 ``(n_states, 2)``, lower source first) with
+        input bit ``ns & 1``.  ``labels[ns, i]`` is the arrival's output
+        label ``Σ_j c_j << j`` (int64 ``(n_states, 2)``) and ``label_bits``
+        the 0/1 coded bits of every label (float64 ``(2^n_out, n_out)``),
+        the operand LLRs are contracted against: one metric per label, put
+        in arrival order by one gather.  All three depend only on the
+        (immutable) generator set, are built once and must be treated as
+        read-only (:func:`repro.backend.dispatch.grouped_viterbi_decode`
+        hands them to the kernel verbatim, so sessions sharing a code share
+        one table set).
         """
         if self._trellis is None:
-            states = np.arange(self.n_states)
-            src_all = np.repeat(states, 2)
-            inb_all = np.tile(np.array([0, 1]), self.n_states)
-            dst_all = self._next_state[src_all, inb_all]
-            order = np.argsort(dst_all, kind="stable")
-            self._trellis = (
-                np.ascontiguousarray(src_all[order].reshape(self.n_states, 2), dtype=np.int64),
-                np.ascontiguousarray(inb_all[order].reshape(self.n_states, 2), dtype=np.int64),
-                self._outputs.astype(np.float64),
-            )
+            ns = np.arange(self.n_states)
+            src = np.stack([ns >> 1, (ns >> 1) | (self.n_states >> 1)], axis=1)
+            labels = self._outputs[src, (ns & 1)[:, None]].astype(np.int64)
+            bits = (np.arange(1 << self.n_out)[:, None] >> np.arange(self.n_out)) & 1
+            self._trellis = (src, labels @ (1 << np.arange(self.n_out)), bits.astype(np.float64))
         return self._trellis
 
     def decode_hard(self, coded: np.ndarray) -> ViterbiResult:

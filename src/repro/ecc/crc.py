@@ -1,8 +1,13 @@
-"""Table-driven CRC over bit arrays (byte-aligned frames).
+"""CRC over bit arrays (byte-aligned frames) as one GF(2) matrix product.
 
 Used for frame integrity checks in the link layer: a failed CRC marks a
 frame as bad without needing the true payload, complementing the
 corrected-flip statistic from :mod:`repro.ecc.hamming`.
+
+A CRC is affine over GF(2): an ``n``-bit message's CRC is ``b·G ⊕ c``,
+with ``G`` and ``c`` built per length by the shift-register recurrence.
+Checking an ``(R, n + width)`` stack is one float32 product (exact: every
+sum is an integer ``<= n < 2^24``); the scalar methods are its R=1 calls.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ __all__ = ["Crc", "CRC8_CCITT", "CRC16_CCITT"]
 
 
 class Crc:
-    """Generic table-driven CRC with MSB-first bit order.
+    """Generic CRC with MSB-first bit order.
 
     Parameters
     ----------
@@ -35,57 +40,65 @@ class Crc:
         self.init = init
         self.xor_out = xor_out
         self.name = name
-        self._mask = (1 << width) - 1
-        self._top = 1 << (width - 1)
-        self._table = self._build_table()
+        self._shifts = np.arange(width - 1, -1, -1)
+        #: message length -> (float32 (n, width) generator, (width,) constant)
+        self._affine: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _build_table(self) -> np.ndarray:
-        table = np.zeros(256, dtype=np.int64)
-        for byte in range(256):
-            reg = byte << (self.width - 8)
-            for _ in range(8):
-                if reg & self._top:
-                    reg = ((reg << 1) ^ self.poly) & self._mask
-                else:
-                    reg = (reg << 1) & self._mask
-            table[byte] = reg
-        return table
+    def _zero_step(self, reg: int) -> int:
+        """The register after shifting in one 0 bit."""
+        reg <<= 1
+        return reg ^ self.poly ^ (1 << self.width) if reg >> self.width else reg
+
+    def _affine_map(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``i`` of ``G`` is the register a lone 1 at bit ``i`` leaves
+        (``poly`` shifted through the zeros after it); ``c`` is the
+        register ``n`` zeros leave from ``init``, XOR ``xor_out``."""
+        if n not in self._affine:
+            impulse, reg, zeros = [], self.poly, self.init
+            for _ in range(n):
+                impulse.append(reg)
+                reg, zeros = self._zero_step(reg), self._zero_step(zeros)
+            regs = np.array(impulse[::-1] + [zeros ^ self.xor_out], dtype=np.int64)
+            bits = (regs[:, None] >> self._shifts) & 1
+            self._affine[n] = (bits[:n].astype(np.float32), bits[n])
+        return self._affine[n]
+
+    def _crc_rows(self, payload: np.ndarray) -> np.ndarray:
+        """MSB-first CRC bits ``(R, width)`` of an ``(R, n)`` 0/1 stack."""
+        if payload.shape[1] % 8 != 0:
+            raise ValueError(f"bit count {payload.shape[1]} must be a multiple of 8")
+        if not np.all((payload == 0) | (payload == 1)):
+            raise ValueError("bits must be 0/1 valued")
+        gen, const = self._affine_map(payload.shape[1])
+        return ((payload.astype(np.float32) @ gen).astype(np.int64) & 1) ^ const
+
+    def check_rows(self, bits: np.ndarray) -> np.ndarray:
+        """Per-row verdicts ``(R,)`` of an ``(R, n + width)`` stack of
+        payloads, each followed by its CRC (MSB first)."""
+        b = np.asarray(bits)
+        if b.ndim != 2 or b.shape[1] < self.width:
+            raise ValueError(f"bits must be (R, n + {self.width}), got shape {b.shape}")
+        return np.all(self._crc_rows(b[:, : -self.width]) == b[:, -self.width :], axis=1)
 
     def compute_bytes(self, data: np.ndarray) -> int:
         """CRC of a uint8 byte sequence."""
-        b = np.asarray(data, dtype=np.uint8).ravel()
-        reg = self.init
-        shift = self.width - 8
-        for byte in b.tolist():  # register recurrence is inherently sequential
-            idx = ((reg >> shift) ^ byte) & 0xFF
-            reg = ((reg << 8) & self._mask) ^ int(self._table[idx])
-        return (reg ^ self.xor_out) & self._mask
+        return self.compute_bits(np.unpackbits(np.asarray(data, dtype=np.uint8).ravel()))
 
     def compute_bits(self, bits: np.ndarray) -> int:
         """CRC of a 0/1 bit array whose length is a multiple of 8 (MSB first)."""
-        b = np.asarray(bits)
-        if b.size % 8 != 0:
-            raise ValueError(f"bit count {b.size} must be a multiple of 8")
-        if not np.all((b == 0) | (b == 1)):
-            raise ValueError("bits must be 0/1 valued")
-        packed = np.packbits(b.astype(np.uint8))
-        return self.compute_bytes(packed)
+        return int(self._crc_rows(np.asarray(bits).reshape(1, -1))[0] @ (1 << self._shifts))
 
     def append(self, bits: np.ndarray) -> np.ndarray:
         """Return ``bits`` with the CRC appended (MSB first)."""
-        crc = self.compute_bits(bits)
-        crc_bits = ((crc >> np.arange(self.width - 1, -1, -1)) & 1).astype(np.int8)
-        return np.concatenate([np.asarray(bits, dtype=np.int8), crc_bits])
+        b = np.asarray(bits).reshape(1, -1)
+        return np.concatenate([b[0], self._crc_rows(b)[0]]).astype(np.int8)
 
     def check(self, bits_with_crc: np.ndarray) -> bool:
         """True iff the trailing CRC matches the payload."""
-        b = np.asarray(bits_with_crc)
+        b = np.asarray(bits_with_crc).reshape(1, -1)
         if b.size < self.width:
             raise ValueError("frame shorter than CRC width")
-        payload, tail = b[: -self.width], b[-self.width :]
-        crc = self.compute_bits(payload)
-        crc_bits = ((crc >> np.arange(self.width - 1, -1, -1)) & 1).astype(np.int8)
-        return bool(np.array_equal(tail.astype(np.int8), crc_bits))
+        return bool(self.check_rows(b)[0])
 
 
 #: CRC-8/CCITT (poly 0x07)

@@ -178,16 +178,11 @@ class CodedLayout:
         return coded.astype(np.int8, copy=False)
 
     # -- decode ---------------------------------------------------------------
-    def _frame_bits(self, decoded: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Split a decoded trellis path into (info bits, CRC verdict)."""
-        frame_bits = decoded[: self.n_info + self.crc.width]
-        crc_ok = bool(self.crc.check(frame_bits))
-        return frame_bits[: self.n_info].copy(), crc_ok
-
     def decode(self, llrs: np.ndarray, *, backend=None) -> tuple[np.ndarray, bool, float]:
         """``(n_payload_bits,)`` payload LLRs → ``(info, crc_ok, path_metric)``.
 
-        Slices off the pad, deinterleaves, runs the soft Viterbi (through
+        The one-row call of :meth:`decode_rows`: slices off the pad,
+        deinterleaves, runs the soft Viterbi (through
         ``backend.viterbi_decode`` when a backend is given) and checks the
         CRC.  ``info`` is returned regardless of the verdict — a failed CRC
         marks the frame served-with-decode-failure, never dropped.
@@ -197,14 +192,7 @@ class CodedLayout:
             raise ValueError(
                 f"expected {self.n_payload_bits} payload LLRs, got {l.size}"
             )
-        l = l[: self.coded_len]
-        if self.interleaver is not None:
-            l = self.interleaver.deinterleave(l)
-        res = self.code.decode_soft(
-            l.reshape(self.n_steps, self.code.n_out), backend=backend
-        )
-        info, crc_ok = self._frame_bits(res.data)
-        return info, crc_ok, res.path_metric
+        return self.decode_rows(l[None], backend=backend)[0]
 
     def decode_rows(
         self, llr_rows: np.ndarray, *, backend=None, key: str = "coded"
@@ -213,9 +201,10 @@ class CodedLayout:
 
         The serving engine's entry point: rows are frames of sessions that
         share this layout, so the whole stack is decoded by one
-        :func:`repro.backend.dispatch.grouped_viterbi_decode` call — one
-        branch-metric einsum and one row-batched ACS kernel launch.
-        Row-pure: each row's ``(info, crc_ok, path_metric)`` is
+        :func:`repro.backend.dispatch.grouped_viterbi_decode` call (one
+        branch-metric einsum, one ACS kernel launch) and checked by one
+        :meth:`~repro.ecc.crc.Crc.check_rows` call; ``info`` rows share
+        one ``(R, n_info)`` copy.  Row-pure: each row's result is
         bit-identical to a solo :meth:`decode` on that row.
         """
         rows = np.asarray(llr_rows, dtype=np.float64)
@@ -231,11 +220,9 @@ class CodedLayout:
         bits, path_metrics = grouped_viterbi_decode(
             self.code, blocks, backend=backend, key=key
         )
-        results: list[tuple[np.ndarray, bool, float]] = []
-        for row, path_metric in zip(bits, path_metrics.tolist()):
-            info, crc_ok = self._frame_bits(row)
-            results.append((info, crc_ok, path_metric))
-        return results
+        crc_ok = self.crc.check_rows(bits[:, : self.n_info + self.crc.width])
+        info = bits[:, : self.n_info].copy()
+        return list(zip(info, crc_ok.tolist(), path_metrics.tolist()))
 
 
 @lru_cache(maxsize=None)

@@ -569,13 +569,15 @@ class ServingEngine:
 
     def _decode(
         self, batch: MicroBatch, llrs3: np.ndarray, acc: _Accounts, key: str
-    ) -> dict[int, tuple[np.ndarray, bool, float]]:
-        """Stage ``decode``: deinterleave → soft Viterbi → CRC per coded row.
+    ) -> dict[int, tuple[bool, float]]:
+        """Stage ``decode``: deinterleave → soft Viterbi → CRC per coded row,
+        as ``{row: (crc_ok, post_fec_ber)}``.
 
         Rows grouped by (coded config, payload bit budget) share one
-        CodedLayout, hence one trellis table set and one Viterbi launch.
-        Row-pure, so the decoded timeline is batching-invariant.  Poisoned
-        rows are skipped: non-finite LLRs never reach the ACS.
+        CodedLayout, hence one Viterbi launch and one post-FEC error count
+        (NaN for rows without ``info_bits``).  Row-pure, so the decoded
+        timeline is batching-invariant.  Poisoned rows are skipped:
+        non-finite LLRs never reach the ACS.
         """
         t0 = self._clock()
         _, n, k = llrs3.shape
@@ -584,7 +586,7 @@ class ServingEngine:
             if session.config.coded is not None and acc.row_ok[row]:
                 plen = (n - int(acc.pilot_syms[row])) * k
                 groups.setdefault((session.config.coded, plen), []).append(row)
-        decoded: dict[int, tuple[np.ndarray, bool, float]] = {}
+        decoded: dict[int, tuple[bool, float]] = {}
         for gi, ((coded_cfg, plen), rows) in enumerate(groups.items()):
             # payload LLRs in symbol-major/bit-minor order — exactly the
             # order the load generator mapped the coded bits in; every row
@@ -593,7 +595,13 @@ class ServingEngine:
             results = coded_layout(coded_cfg, plen).decode_rows(
                 payload, backend=self.backend, key=f"{key}_vit{gi}"
             )
-            decoded.update(zip(rows, results))
+            known = [i for i, row in enumerate(rows) if batch.frames[row].info_bits is not None]
+            ber = np.full(len(rows), np.nan)
+            if known:
+                info = np.stack([results[i][0] for i in known])
+                truth = np.stack([batch.frames[rows[i]].info_bits for i in known])
+                ber[known] = np.count_nonzero(info != truth, axis=1) / info.shape[1]
+            decoded.update((row, (res[1], e)) for row, res, e in zip(rows, results, ber.tolist()))
         if groups:
             self._stage("decode", t0, groups=len(groups))
         return decoded
@@ -624,11 +632,7 @@ class ServingEngine:
             crc_ok: bool | None = None
             post_fec_ber = float("nan")
             if row in decoded:
-                info_hat, crc_ok, _metric = decoded[row]
-                if frame.info_bits is not None:
-                    post_fec_ber = int(
-                        np.count_nonzero(info_hat != np.asarray(frame.info_bits))
-                    ) / info_hat.size
+                crc_ok, post_fec_ber = decoded[row]
                 self.telemetry.frames_decoded += 1
                 if not crc_ok:
                     self.telemetry.crc_failures += 1

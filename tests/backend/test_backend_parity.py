@@ -507,6 +507,27 @@ def _viterbi_batches(draw):
     return code, llrs
 
 
+def _bytes(metric) -> bytes:
+    """A path metric's IEEE bit pattern, so +0.0 and -0.0 differ."""
+    return np.float64(metric).tobytes()
+
+
+class _ArrivalSpy:
+    """A backend stand-in that keeps a copy of the arrival branch metrics
+    ``grouped_viterbi_decode`` hands to the kernel."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.arrivals = None
+
+    def scratch(self, *args, **kwargs):
+        return self.backend.scratch(*args, **kwargs)
+
+    def viterbi_decode(self, arrivals, src, *, key):
+        self.arrivals = arrivals.copy()
+        return self.backend.viterbi_decode(arrivals, src, key=key)
+
+
 class TestViterbiParity:
     """Every tier's ``viterbi_decode`` is bit-identical to the scalar
     reference ACS (the ``viterbi_reference`` oracle) — decoded bits AND
@@ -529,7 +550,7 @@ class TestViterbiParity:
             ref_bits, ref_metric = viterbi_reference(code, llrs)
             got = code.decode_soft(llrs, backend=be)
             assert np.array_equal(got.data, ref_bits)
-            assert got.path_metric == ref_metric
+            assert _bytes(got.path_metric) == _bytes(ref_metric)
 
     @pytest.mark.parametrize("tier", ["numpy", "numpy32"])
     def test_noiseless_roundtrip_exact(self, tier):
@@ -552,17 +573,36 @@ class TestViterbiParity:
         for row, llrs in enumerate(stack):
             ref_bits, ref_metric = viterbi_reference(code, llrs)
             assert np.array_equal(bits[row, : bits.shape[1] - tail], ref_bits)
-            assert metrics[row] == ref_metric
+            assert _bytes(metrics[row]) == _bytes(ref_metric)
 
     def test_branch_metric_shape_validated(self):
         be = backend_from_name("numpy")
         src = np.zeros((4, 2), dtype=np.int64)
         with pytest.raises(ValueError):
-            be.viterbi_decode(np.zeros((1, 5, 4, 3)), src, src)
+            be.viterbi_decode(np.zeros((5, 1, 4, 3)), src)
         with pytest.raises(ValueError):
-            be.viterbi_decode(np.zeros((5, 4, 2)), src, src)
+            be.viterbi_decode(np.zeros((5, 4, 2)), src)
         with pytest.raises(ValueError):
-            be.viterbi_decode(np.zeros((1, 5, 4, 2)), np.zeros((3, 2), np.int64), src)
+            be.viterbi_decode(np.zeros((5, 1, 4, 2)), np.zeros((3, 2), np.int64))
+
+    @pytest.mark.parametrize("tier", ["numpy", "numpy32"])
+    @given(batch=_viterbi_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_label_metrics_equal_source_ordered_einsum(self, tier, batch):
+        """The arrival branch metrics the kernel receives (one metric per
+        output label, gathered through the label table) are byte-equal to
+        the oracle's per-transition contraction read in arrival order,
+        signed zeros included."""
+        code, llrs = batch
+        spy = _ArrivalSpy(backend_from_name(tier))
+        grouped_viterbi_decode(code, llrs, backend=spy)
+        src = code.trellis_tables()[0]
+        outputs = code._outputs.astype(np.float64)
+        bm = np.stack([np.einsum("tj,sbj->tsb", row, outputs) for row in llrs])
+        ns = np.arange(code.n_states)
+        want = bm[:, :, src, (ns & 1)[:, None]].transpose(1, 0, 2, 3)
+        assert spy.arrivals.dtype == np.float64
+        assert spy.arrivals.tobytes() == np.ascontiguousarray(want).tobytes()
 
     @pytest.mark.parametrize("tier", ["numpy", "numpy32"])
     @given(batch=_viterbi_batches())
@@ -576,7 +616,7 @@ class TestViterbiParity:
         for row in range(llrs.shape[0]):
             ref_bits, ref_metric = viterbi_reference(code, llrs[row])
             assert np.array_equal(bits[row, :n_info], ref_bits)
-            assert metrics[row] == ref_metric
+            assert _bytes(metrics[row]) == _bytes(ref_metric)
 
     @given(batch=_viterbi_batches(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -601,7 +641,7 @@ class TestNumbaViterbiParity:
             ref_bits, ref_metric = viterbi_reference(code, llrs)
             got = code.decode_soft(llrs, backend=be)
             assert np.array_equal(got.data, ref_bits)
-            assert got.path_metric == ref_metric
+            assert _bytes(got.path_metric) == _bytes(ref_metric)
 
     @given(batch=_viterbi_batches())
     @settings(max_examples=25, deadline=None)
@@ -610,4 +650,4 @@ class TestNumbaViterbiParity:
         got = grouped_viterbi_decode(code, llrs, backend=backend_from_name("numba"))
         want = grouped_viterbi_decode(code, llrs, backend=backend_from_name("numpy"))
         assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        assert got[1].tobytes() == want[1].tobytes()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ecc import (
     BlockInterleaver,
@@ -143,16 +144,60 @@ class TestRepetition:
         assert np.isclose(RepetitionCode(5).rate, 0.2)
 
 
+def _crc_reference(crc: Crc, bits: np.ndarray) -> int:
+    """Table-driven byte-at-a-time CRC register recurrence — the oracle the
+    matrix CRC must match."""
+    mask, top, shift = (1 << crc.width) - 1, 1 << (crc.width - 1), crc.width - 8
+    table = []
+    for byte in range(256):
+        reg = byte << shift
+        for _ in range(8):
+            reg = ((reg << 1) ^ crc.poly) & mask if reg & top else (reg << 1) & mask
+        table.append(reg)
+    reg = crc.init
+    for byte in np.packbits(np.asarray(bits, dtype=np.uint8)).tolist():
+        reg = ((reg << 8) & mask) ^ table[((reg >> shift) ^ byte) & 0xFF]
+    return (reg ^ crc.xor_out) & mask
+
+
 class TestCrc:
     def test_crc8_known_vector(self):
         # CRC-8 (poly 0x07, init 0) of "123456789" is 0xF4
         data = np.frombuffer(b"123456789", dtype=np.uint8)
         assert CRC8_CCITT.compute_bytes(data) == 0xF4
+        assert _crc_reference(CRC8_CCITT, np.unpackbits(data)) == 0xF4
 
     def test_crc16_ccitt_false_known_vector(self):
         # CRC-16/CCITT-FALSE of "123456789" is 0x29B1
         data = np.frombuffer(b"123456789", dtype=np.uint8)
         assert CRC16_CCITT.compute_bytes(data) == 0x29B1
+        assert _crc_reference(CRC16_CCITT, np.unpackbits(data)) == 0x29B1
+
+    @given(
+        crc=st.sampled_from([CRC8_CCITT, CRC16_CCITT]),
+        n_bytes=st.integers(1, 64),
+        n_rows=st.integers(1, 8),
+        flip_rate=st.sampled_from([0.0, 0.002, 0.05]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_check_rows_matches_table_oracle(self, crc, n_bytes, n_rows, flip_rate, seed):
+        """``check_rows`` on framed rows with random corruption gives, row
+        by row, the verdict of the table recurrence."""
+        rng = np.random.default_rng(seed)
+        payload = rng.integers(0, 2, (n_rows, 8 * n_bytes)).astype(np.int8)
+        shifts = np.arange(crc.width - 1, -1, -1)
+        tails = [(_crc_reference(crc, row) >> shifts) & 1 for row in payload]
+        frames = np.concatenate([payload, np.array(tails, dtype=np.int8)], axis=1)
+        frames ^= (rng.random(frames.shape) < flip_rate).astype(np.int8)
+        want = [
+            _crc_reference(crc, row[: -crc.width]) == int(row[-crc.width :] @ (1 << shifts))
+            for row in frames
+        ]
+        assert crc.check_rows(frames).tolist() == want
+        assert [crc.compute_bits(row) for row in payload] == [
+            _crc_reference(crc, row) for row in payload
+        ]
 
     def test_append_check_roundtrip(self, rng):
         bits = rng.integers(0, 2, size=64)

@@ -104,3 +104,17 @@ def test_inert_relative_gate_passes_and_says_so_once(
     out = capsys.readouterr().out
     assert out.count(INERT) == 1
     assert "WARNING" not in out
+
+
+def test_run_suite_puts_src_first_on_the_child_path(check_bench, monkeypatch):
+    seen = {}
+
+    def fake_run(cmd, cwd, env):
+        seen.update(env=env)
+        return type("Done", (), {"returncode": 0})()
+
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setattr(check_bench.subprocess, "run", fake_run)
+    check_bench.run_suite()
+    paths = seen["env"]["PYTHONPATH"].split(check_bench.os.pathsep)
+    assert paths == [str(check_bench.REPO / "src"), "elsewhere"]
