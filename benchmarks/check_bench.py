@@ -23,7 +23,8 @@ micro-benchmark suite (which rewrites the artifact in place), and compares:
      untraced engine — observability overhead capped at ~10%,
    * a plain serving round >= 0.37x one raw demap of the same symbols
      (``serving_kernel_floor``) — the round's work around the kernel,
-   * batched multi-sigma sweep >= sequential per-SNR launches (both tiers),
+   * one fused 8 x 1024-symbol max-log launch >= ``SWEEP_FUSION_FLOOR`` x
+     its eight one-row calls (both tiers),
    * row-batched Viterbi (64 blocks, one launch) >= 10x the same 64 blocks
      decoded one launch each,
    * max-log demapping >= 1e6 sym/s (the historical floor, generous on any
@@ -36,7 +37,12 @@ micro-benchmark suite (which rewrites the artifact in place), and compares:
    * 4-shard ``FleetFrontEnd`` >= 1.8x the single-shard fleet on the same
      64-session workload (recorded only on >= 4-core machines).
 
-Exit code 0 = gate passed; 1 = regression (or missing artifact/benchmark).
+A failing bench suite (an in-bench assertion) does not stop the gates:
+every gate is still evaluated and printed on the artifact the suite wrote,
+and "benchmark suite failed" is listed among the failures.
+
+Exit code 0 = gate passed; 1 = regression, failed suite, or missing
+artifact/benchmark.
 
 Usage::
 
@@ -66,6 +72,13 @@ ARTIFACT = REPO / "BENCH_micro.json"
 #: back to what it was.
 KERNEL_SHARE_FLOOR = 0.37
 
+#: Floor of ``sweep_maxlog_multi_1k / sweep_maxlog_seq_1k``: one fused
+#: 8 x 1024-symbol max-log launch against its eight one-row calls.  On
+#: 2 vCPUs, over 13 full bench runs, it measured 2.0–2.5 (numpy) and
+#: 2.6–3.2 (numpy32); with the fused launch replaced by a per-row loop it
+#: read 0.94–1.03, so the floor fires on lost fusion with margin both ways.
+SWEEP_FUSION_FLOOR = 1.5
+
 #: (numerator, denominator, floor) — machine-independent ratio invariants.
 RATIO_GATES = [
     ("serving_batched[numpy]", "serving_sequential[numpy]", 2.0),
@@ -74,8 +87,8 @@ RATIO_GATES = [
     ("serving_faulted[numpy]", "serving_sequential[numpy]", 1.3),
     ("serving_traced[numpy]", "serving_batched[numpy]", 0.9),
     ("serving_batched[numpy]", "serving_kernel_floor[numpy]", KERNEL_SHARE_FLOOR),
-    ("sweep_maxlog_multi[numpy]", "sweep_maxlog_seq[numpy]", 1.0),
-    ("sweep_maxlog_multi[numpy32]", "sweep_maxlog_seq[numpy32]", 1.0),
+    ("sweep_maxlog_multi_1k[numpy]", "sweep_maxlog_seq_1k[numpy]", SWEEP_FUSION_FLOOR),
+    ("sweep_maxlog_multi_1k[numpy32]", "sweep_maxlog_seq_1k[numpy32]", SWEEP_FUSION_FLOOR),
     ("viterbi_decode[rows64]", "viterbi_decode[rows1]", 10.0),
 ]
 
@@ -127,7 +140,8 @@ def rates(artifact: dict) -> dict[str, float]:
     }
 
 
-def run_suite() -> None:
+def run_suite() -> bool:
+    """Run the bench suite (it rewrites the artifact); True if it passed."""
     cmd = [
         sys.executable, "-m", "pytest",
         str(REPO / "benchmarks" / "bench_micro.py"),
@@ -140,9 +154,7 @@ def run_suite() -> None:
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
     print(f"check_bench: running {' '.join(cmd)}", flush=True)
-    result = subprocess.run(cmd, cwd=REPO, env=env)
-    if result.returncode != 0:
-        sys.exit("check_bench: benchmark suite failed (in-bench assertion?)")
+    return subprocess.run(cmd, cwd=REPO, env=env).returncode == 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,12 +169,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--tolerance must be in (0, 1)")
 
     baseline = copy.deepcopy(load(ARTIFACT))
-    if not args.no_run:
-        run_suite()
+    suite_ok = args.no_run or run_suite()
     current = load(ARTIFACT)
     base_rates, cur_rates = rates(baseline), rates(current)
 
-    failures: list[str] = []
+    # a failed suite still wrote its artifact: gate it, then fail
+    failures: list[str] = [] if suite_ok else ["benchmark suite failed (in-bench assertion?)"]
     warnings: list[str] = []
 
     # 1. relative gate (a fresh run on the baseline's environment only)

@@ -7,7 +7,7 @@ steady-state batches run allocation-free.
 """
 
 from repro.backend.bitsets import PaddedBitSets
-from repro.backend.dispatch import DemapRequest, group_requests, grouped_maxlog_llrs
+from repro.backend.dispatch import DemapRequest, group_requests
 from repro.backend.core import (
     ENV_VAR,
     available_backends,
@@ -33,7 +33,6 @@ __all__ = [
     "backend_from_name",
     "get_backend",
     "group_requests",
-    "grouped_maxlog_llrs",
     "set_backend",
     "use_backend",
 ]

@@ -13,10 +13,9 @@ group instead of one per request.
 
 The stacked ``(S, n)`` input, the per-group σ² vector and the ``(S, n, k)``
 kernel output all live in the backend workspace, so a steady-state serving
-loop that passes per-request ``out=`` buffers allocates nothing.  On the
-default (float64) tier every request's LLR block is bit-identical to a
-sequential ``maxlog_llrs`` call with the same arguments — grouping only
-shares the distance stage, which is the multi-kernel's documented contract.
+loop allocates nothing.  On every tier each request's LLR block is
+byte-equal to the one-row ``maxlog_llrs`` call on that request alone: the
+multi kernel's rows never depend on the batch they share.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "DemapRequest",
     "group_requests",
     "batched_maxlog_llrs",
-    "grouped_maxlog_llrs",
     "grouped_viterbi_decode",
 ]
 
@@ -160,58 +158,6 @@ def batched_maxlog_llrs(
         out=be.scratch(f"{key}_llr", (s, n, k), dtype=np.float64),
     )
     return (llrs, stacked) if with_received else llrs
-
-
-def grouped_maxlog_llrs(
-    requests: Sequence[DemapRequest],
-    *,
-    outs: Sequence[np.ndarray | None] | None = None,
-    backend=None,
-) -> list[np.ndarray]:
-    """Demap every request, one fused multi-sigma launch per group.
-
-    Parameters
-    ----------
-    requests:
-        The per-frame work items (see :class:`DemapRequest`).
-    outs:
-        Optional per-request float64 ``(n, k)`` output buffers (entries may
-        be None); with buffers supplied the steady-state call allocates
-        nothing — stacking, σ² vector and the kernel's ``(S, n, k)`` output
-        all come from the backend workspace.
-    backend:
-        Backend instance to dispatch on (default: the process-wide one).
-
-    Returns
-    -------
-    Per-request LLR arrays ``(n, k)`` in request order.  On the default tier
-    each is bit-identical to ``backend.maxlog_llrs(received, points,
-    bitsets, sigma2)`` for that request alone.
-    """
-    be = backend if backend is not None else get_backend()
-    if outs is not None and len(outs) != len(requests):
-        raise ValueError(f"outs must have one entry per request: {len(outs)} vs {len(requests)}")
-    results: list[np.ndarray | None] = [None] * len(requests)
-    for g, members in enumerate(group_requests(requests)):
-        if len(members) == 1:
-            # no batching partner — the scalar kernel skips the stacking copy
-            i = members[0]
-            req = requests[i]
-            out = outs[i] if outs is not None else None
-            results[i] = be.maxlog_llrs(
-                req.received, req.points, req.bitsets, req.sigma2, out=out
-            )
-            continue
-        llrs = batched_maxlog_llrs(
-            [requests[i] for i in members], backend=be, key=f"disp#{g}"
-        )
-        for row, i in enumerate(members):
-            if outs is not None and outs[i] is not None:
-                np.copyto(outs[i], llrs[row], casting="same_kind")
-                results[i] = outs[i]
-            else:
-                results[i] = llrs[row].copy()
-    return results
 
 
 def grouped_viterbi_decode(

@@ -12,7 +12,9 @@ minimal containers.
 The jitted kernels fuse the whole demapping pipeline per symbol — distance,
 per-bit minima (or streaming log-sum-exp), scaling — in one cache-resident
 pass over a stack-local distance vector, the same dataflow as the FPGA's
-pipelined distance/min-tree stages.  Hard decisions are bit-identical to the
+pipelined distance/min-tree stages.  There is one kernel per soft metric,
+over ``(S, n)`` with per-row σ²; the inherited ``maxlog_llrs``/
+``logmap_llrs`` are its S=1 calls.  Hard decisions are bit-identical to the
 NumPy float64 tier: identical IEEE double operations, only the loop
 scheduling differs.
 """
@@ -24,11 +26,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.backend.bitsets import PaddedBitSets
 from repro.backend.numpy_backend import (
     NumpyBackend,
     _check_llr_multi_out,
-    _check_llr_out,
     _check_multi_args,
     _check_viterbi_args,
 )
@@ -49,61 +49,9 @@ def _get_kernels() -> SimpleNamespace:  # pragma: no cover - needs numba install
     from numba import njit
 
     @njit(cache=True)
-    def maxlog(y_re, y_im, c_re, c_im, table, sizes, k, scale, out):
-        n = y_re.size
-        m = c_re.size
-        d2 = np.empty(m, dtype=np.float64)
-        for i in range(n):
-            for p in range(m):
-                dr = y_re[i] - c_re[p]
-                di = y_im[i] - c_im[p]
-                d2[p] = dr * dr + di * di
-            for j in range(k):
-                m0 = np.inf
-                for t in range(sizes[j]):
-                    v = d2[table[j, t]]
-                    if v < m0:
-                        m0 = v
-                m1 = np.inf
-                for t in range(sizes[k + j]):
-                    v = d2[table[k + j, t]]
-                    if v < m1:
-                        m1 = v
-                out[i, j] = (m0 - m1) * scale
-
-    @njit(cache=True)
-    def logmap(y_re, y_im, c_re, c_im, table, sizes, k, inv_2s2, out):
-        n = y_re.size
-        m = c_re.size
-        metric = np.empty(m, dtype=np.float64)
-        for i in range(n):
-            for p in range(m):
-                dr = y_re[i] - c_re[p]
-                di = y_im[i] - c_im[p]
-                metric[p] = -(dr * dr + di * di) * inv_2s2
-            for j in range(k):
-                mx1 = -np.inf
-                for t in range(sizes[k + j]):
-                    v = metric[table[k + j, t]]
-                    if v > mx1:
-                        mx1 = v
-                s1 = 0.0
-                for t in range(sizes[k + j]):
-                    s1 += np.exp(metric[table[k + j, t]] - mx1)
-                mx0 = -np.inf
-                for t in range(sizes[j]):
-                    v = metric[table[j, t]]
-                    if v > mx0:
-                        mx0 = v
-                s0 = 0.0
-                for t in range(sizes[j]):
-                    s0 += np.exp(metric[table[j, t]] - mx0)
-                out[i, j] = (mx1 + np.log(s1)) - (mx0 + np.log(s0))
-
-    @njit(cache=True)
     def maxlog_multi(y_re, y_im, c_re, c_im, table, sizes, k, scale_col, out):
-        # identical dataflow to `maxlog`, with a per-sample (= per sweep row)
-        # 1/(2σ²) scaling read from the expanded column vector
+        # per-sample (= per sweep row) 1/(2σ²) scaling read from the
+        # expanded column vector
         n = y_re.size
         m = c_re.size
         d2 = np.empty(m, dtype=np.float64)
@@ -217,8 +165,6 @@ def _get_kernels() -> SimpleNamespace:  # pragma: no cover - needs numba install
                 out[i, o] = acc
 
     _kernels = SimpleNamespace(
-        maxlog=maxlog,
-        logmap=logmap,
         maxlog_multi=maxlog_multi,
         logmap_multi=logmap_multi,
         hard=hard,
@@ -248,24 +194,6 @@ class NumbaBackend(NumpyBackend):
         yr, yi = self._split_received(received)
         c = np.asarray(points).ravel()
         return yr, yi, np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
-
-    def maxlog_llrs(self, received, points, bitsets: PaddedBitSets, sigma2, out=None):  # pragma: no cover
-        yr, yi, c_re, c_im = self._prepared(received, points)
-        out = _check_llr_out(out, yr.size, bitsets.k)
-        self._k.maxlog(
-            yr, yi, c_re, c_im, bitsets.table, bitsets.sizes,
-            bitsets.k, 1.0 / (2.0 * sigma2), out,
-        )
-        return out
-
-    def logmap_llrs(self, received, points, bitsets: PaddedBitSets, sigma2, out=None):  # pragma: no cover
-        yr, yi, c_re, c_im = self._prepared(received, points)
-        out = _check_llr_out(out, yr.size, bitsets.k)
-        self._k.logmap(
-            yr, yi, c_re, c_im, bitsets.table, bitsets.sizes,
-            bitsets.k, 1.0 / (2.0 * sigma2), out,
-        )
-        return out
 
     def maxlog_llrs_multi(self, received, points, bitsets, sigma2s, out=None):  # pragma: no cover
         y, s_count, n, sig = _check_multi_args(received, sigma2s)

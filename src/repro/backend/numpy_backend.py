@@ -8,6 +8,11 @@ measured ~5× faster than the naive ``(n, M)`` column-gather formulation for
 workspace, so steady-state batches allocate only the caller-visible output
 (nothing at all when ``out=`` is passed).
 
+Each soft metric has one kernel per tier: ``maxlog_llrs_multi`` and
+``logmap_llrs_multi`` demap an ``(S, n)`` tensor with per-row σ² in
+cache-sized column tiles, and ``maxlog_llrs``/``logmap_llrs`` are their S=1
+calls.  A row's LLRs never depend on S or on where the tile boundaries fall.
+
 The float64 tier reproduces the pre-backend reference implementation
 bit-for-bit (same IEEE operations in the same order per element); the
 float32 tier halves memory traffic and roughly doubles throughput at a
@@ -23,11 +28,10 @@ from repro.backend.workspace import Workspace
 
 __all__ = ["NumpyBackend", "FLOAT32_LLR_RTOL", "MULTI_SIGMA_TILE"]
 
-#: Column-tile width of the multi-sigma sweep kernels.  A tile's working set
+#: Column-tile width of the demapping kernels.  A tile's working set
 #: (distance block + temporaries + per-set minima: ~1.5 MB at 16-QAM/float64)
-#: stays cache-resident, which is what lets the batched ``(S, n)`` launch
-#: beat S sequential single-SNR launches whose full-width intermediates
-#: stream through last-level cache.
+#: stays cache-resident, where full-width intermediates of a large batch
+#: would stream through last-level cache.
 MULTI_SIGMA_TILE = 8192
 
 #: Documented agreement between the float32 and float64 tiers: max-log and
@@ -35,22 +39,6 @@ MULTI_SIGMA_TILE = 8192
 #: LLR magnitude (float32 keeps ~7 significant digits; distances are O(1)
 #: and the 1/(2σ²) scaling is exact in both tiers).
 FLOAT32_LLR_RTOL = 1e-4
-
-
-def _check_llr_out(out: np.ndarray | None, n: int, k: int) -> np.ndarray:
-    """Validate a caller-supplied LLR output buffer (or allocate one).
-
-    The documented contract is an exact float64 ``(n, k)`` array — silently
-    demoting precision or broadcasting into a larger buffer would void the
-    bit-identity guarantees, so both are rejected.
-    """
-    if out is None:
-        return np.empty((n, k), dtype=np.float64)
-    if out.shape != (n, k):
-        raise ValueError(f"out must have shape ({n}, {k}), got {out.shape}")
-    if out.dtype != np.float64:
-        raise ValueError(f"out must be float64, got {out.dtype}")
-    return out
 
 
 def _check_viterbi_args(
@@ -81,7 +69,9 @@ def _check_multi_args(
         raise ValueError(
             f"sigma2s must have one entry per received row: got {sig.size} for S={y.shape[0]}"
         )
-    if sig.size and np.any(sig <= 0):
+    # min() is about 3x cheaper than any(sig <= 0) on one row and, like
+    # it, lets NaN through
+    if sig.size and sig.min() <= 0:
         raise ValueError("every sigma2 must be positive")
     return y, y.shape[0], y.shape[1], sig
 
@@ -89,8 +79,11 @@ def _check_multi_args(
 def _check_llr_multi_out(out: np.ndarray | None, s: int, n: int, k: int) -> np.ndarray:
     """Validate a caller-supplied ``(S, n, k)`` LLR buffer (or allocate one).
 
-    The kernels fill the buffer through a flat ``(S·n, k)`` view, so a
-    non-contiguous buffer (whose reshape would silently copy) is rejected.
+    The documented contract is an exact float64 array — silently demoting
+    precision or broadcasting into a larger buffer would void the
+    bit-identity guarantees, so both are rejected.  The kernels fill the
+    buffer through a flat ``(S·n, k)`` view, so a non-contiguous buffer
+    (whose reshape would silently copy) is rejected too.
     """
     if out is None:
         return np.empty((s, n, k), dtype=np.float64)
@@ -115,6 +108,11 @@ def _column_tiles(total: int, tile: int):
         yield start, start + tile, ""
     if total > full:
         yield full, total, "#tail"
+
+
+def _tile_of(scale, start: int, stop: int):
+    """The columns ``start:stop`` of a :meth:`NumpyBackend._row_scale`."""
+    return scale if scale.ndim == 0 else scale[start:stop]
 
 
 class NumpyBackend:
@@ -170,12 +168,8 @@ class NumpyBackend:
         c_re: np.ndarray, c_im: np.ndarray,
         start: int, stop: int, key: str,
     ) -> np.ndarray:
-        """Squared-distance block ``(M, stop-start)`` for one column slice.
-
-        ``key`` namespaces the scratch buffers: full-width scalar kernels and
-        tile-width sweep kernels use distinct keys so alternating between
-        them never thrashes the shape-keyed workspace.
-        """
+        """Squared-distance block ``(M, stop-start)`` for one column slice,
+        in the ``key``-named scratch buffers."""
         m = c_re.size
         d2 = self.scratch(key, (m, stop - start))
         t = self.scratch(key + "~tmp", (m, stop - start))
@@ -196,7 +190,7 @@ class NumpyBackend:
         c_re, c_im = self._split_points(points)
         return self._distances_tile(yr, yi, c_re, c_im, 0, yr.size, "d2_t")
 
-    def _set_minima(self, d2: np.ndarray, bitsets: PaddedBitSets, key: str = "set_mins") -> np.ndarray:
+    def _set_minima(self, d2: np.ndarray, bitsets: PaddedBitSets, key: str) -> np.ndarray:
         """Row-wise minima per padded bit set: ``(2k, n)`` scratch array."""
         n = d2.shape[1]
         mins = self.scratch(key, (2 * bitsets.k, n))
@@ -209,6 +203,16 @@ class NumpyBackend:
         return mins
 
     # -- demapping kernels --------------------------------------------------
+    def _single_row(self, kernel, received, points, bitsets, sigma2, out):
+        """Run a ``_multi`` kernel as its S=1 call on one received row.
+
+        ``out`` (float64 ``(n, k)``) is viewed as ``(1, n, k)``, so the
+        kernel validates and fills it in place.
+        """
+        y = np.asarray(received).reshape(1, -1)
+        res = kernel(y, points, bitsets, (float(sigma2),), out=None if out is None else out[None])
+        return res[0] if out is None else out
+
     def maxlog_llrs(
         self,
         received: np.ndarray,
@@ -217,20 +221,9 @@ class NumpyBackend:
         sigma2: float,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Fused max-log bit LLRs ``(n, k)`` float64.
-
-        One distance pass + one row-reduction pass per bit set; the Python
-        loop over bit positions of the naive formulation is gone.
-        """
-        d2 = self.point_distances_t(received, points)
-        mins = self._set_minima(d2, bitsets)
-        k, n = bitsets.k, d2.shape[1]
-        diff = self.scratch("llr_t", (k, n))
-        np.subtract(mins[:k], mins[k:], out=diff)
-        np.multiply(diff, self.dtype.type(1.0 / (2.0 * sigma2)), out=diff)
-        out = _check_llr_out(out, n, k)
-        np.copyto(out, diff.T, casting="same_kind")
-        return out
+        """Max-log bit LLRs ``(n, k)`` float64: the S=1 call of
+        :meth:`maxlog_llrs_multi`."""
+        return self._single_row(self.maxlog_llrs_multi, received, points, bitsets, sigma2, out)
 
     def logmap_llrs(
         self,
@@ -240,39 +233,21 @@ class NumpyBackend:
         sigma2: float,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Exact log-MAP bit LLRs via streaming log-sum-exp, ``(n, k)`` float64.
-
-        Two passes per bit set over the transposed distance rows: the set
-        minimum (= LSE max, for stability) falls out of the shared minima
-        kernel, then one exp-accumulate pass over the *unpadded* rows.
-        """
-        d2 = self.point_distances_t(received, points)
-        mins = self._set_minima(d2, bitsets)
-        k, n = bitsets.k, d2.shape[1]
-        neg_inv = self.dtype.type(-1.0 / (2.0 * sigma2))
-        lse = self.scratch("lse_t", (2 * k, n))
-        acc = self.scratch("lse_acc", (n,))
-        tmp = self.scratch("lse_tmp", (n,))
-        table, sizes = bitsets.table, bitsets.sizes
-        for s in range(table.shape[0]):
-            # metric_r = -d2_r/(2σ²); max over the set = -min(d2)/(2σ²)
-            mx = mins[s]
-            np.multiply(mx, neg_inv, out=mx)
-            acc.fill(0.0)
-            for t in range(sizes[s]):
-                np.multiply(d2[table[s, t]], neg_inv, out=tmp)
-                np.subtract(tmp, mx, out=tmp)
-                np.exp(tmp, out=tmp)
-                np.add(acc, tmp, out=acc)
-            np.log(acc, out=acc)
-            np.add(mx, acc, out=lse[s])
-        diff = self.scratch("llr_t", (k, n))
-        np.subtract(lse[k:], lse[:k], out=diff)
-        out = _check_llr_out(out, n, k)
-        np.copyto(out, diff.T, casting="same_kind")
-        return out
+        """Exact log-MAP bit LLRs ``(n, k)`` float64: the S=1 call of
+        :meth:`logmap_llrs_multi`."""
+        return self._single_row(self.logmap_llrs_multi, received, points, bitsets, sigma2, out)
 
     # -- multi-sigma sweep kernels -------------------------------------------
+    def _row_scale(self, key: str, numer: float, sig: np.ndarray, n: int):
+        """``numer/(2σ²)`` per row over the flattened ``S·n`` columns: a
+        working-dtype scalar when S=1, else the ``key``-named ``(S·n,)``
+        column.  Either way each LLR is multiplied by the same IEEE value."""
+        if sig.size == 1:
+            return self.dtype.type(numer / (2.0 * sig[0]))
+        col = self.scratch(key, (sig.size * n,))
+        col.reshape(sig.size, n)[:] = (numer / (2.0 * sig))[:, None]
+        return col
+
     def maxlog_llrs_multi(
         self,
         received: np.ndarray,
@@ -287,9 +262,10 @@ class NumpyBackend:
         at sweep point ``s``); ``sigma2s`` holds the per-row noise variances.
         The distance + per-bit reduction stage runs once over the flattened
         ``S·n`` samples (column-tiled so each block stays cache-resident) and
-        the S ``1/(2σ²)`` scalings are applied from a per-column vector — on
-        the default tier every per-SNR slice ``out[s]`` is bit-identical to
-        ``maxlog_llrs(received[s], ..., sigma2s[s])``.
+        the S ``1/(2σ²)`` scalings are applied from a per-column vector (a
+        scalar when S=1: the same products).  Each LLR is a function of its
+        own sample and σ² only, so ``out[s]`` is byte-equal to the S=1 call
+        on row ``s``.
         """
         y, s_count, n, sig = _check_multi_args(received, sigma2s)
         k = bitsets.k
@@ -300,14 +276,13 @@ class NumpyBackend:
         out_flat = out.reshape(total, k)
         yr, yi = self._split_received(y)
         c_re, c_im = self._split_points(points)
-        inv_col = self.scratch("inv2s2_col", (total,))
-        inv_col.reshape(s_count, n)[:] = (1.0 / (2.0 * sig))[:, None]
+        scale = self._row_scale("inv2s2_col", 1.0, sig, n)
         for start, stop, tag in _column_tiles(total, MULTI_SIGMA_TILE):
             d2 = self._distances_tile(yr, yi, c_re, c_im, start, stop, "sw_d2" + tag)
             mins = self._set_minima(d2, bitsets, key="sw_mins" + tag)
             diff = self.scratch("sw_llr" + tag, (k, stop - start))
             np.subtract(mins[:k], mins[k:], out=diff)
-            np.multiply(diff, inv_col[None, start:stop], out=diff)
+            np.multiply(diff, _tile_of(scale, start, stop), out=diff)
             np.copyto(out_flat[start:stop], diff.T, casting="same_kind")
         return out
 
@@ -324,7 +299,7 @@ class NumpyBackend:
         Same layout/contract as :meth:`maxlog_llrs_multi`; the shared distance
         stage and per-set minima are computed once per column tile, then the
         streaming log-sum-exp runs with the per-column ``-1/(2σ²)`` metric
-        scale, reproducing the per-SNR kernel bit-for-bit on the default tier.
+        scale.
         """
         y, s_count, n, sig = _check_multi_args(received, sigma2s)
         k = bitsets.k
@@ -335,20 +310,17 @@ class NumpyBackend:
         out_flat = out.reshape(total, k)
         yr, yi = self._split_received(y)
         c_re, c_im = self._split_points(points)
-        neg_col = self.scratch("neg_inv2s2_col", (total,))
-        neg_col.reshape(s_count, n)[:] = (-1.0 / (2.0 * sig))[:, None]
+        neg = self._row_scale("neg_inv2s2_col", -1.0, sig, n)
         table, sizes = bitsets.table, bitsets.sizes
         for start, stop, tag in _column_tiles(total, MULTI_SIGMA_TILE):
             w = stop - start
             d2 = self._distances_tile(yr, yi, c_re, c_im, start, stop, "sw_d2" + tag)
             mins = self._set_minima(d2, bitsets, key="sw_mins" + tag)
-            nc = neg_col[start:stop]
+            nc = _tile_of(neg, start, stop)
             # Pre-scale the whole tile to the LSE metric once: each point row
-            # is a member of k bit sets, so the per-member scaling of the
-            # scalar kernel would repeat every product k times.  The products
-            # are the same IEEE multiplications either way, so per-SNR slices
-            # stay bit-identical to the scalar kernel.
-            np.multiply(d2, nc[None, :], out=d2)
+            # is a member of k bit sets, so scaling per member would repeat
+            # every product k times.
+            np.multiply(d2, nc, out=d2)
             lse = self.scratch("sw_lse" + tag, (2 * k, w))
             acc = self.scratch("sw_lse_acc" + tag, (w,))
             tmp = self.scratch("sw_lse_tmp" + tag, (w,))

@@ -60,7 +60,7 @@ class Workspace:
         on every call from the same thread.
         """
         bufs = self._bufs()
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(map(int, shape))
         dtype = np.dtype(dtype)
         entry = bufs.get(key)
         if entry is not None and entry.shape == shape and entry.dtype == dtype:

@@ -131,8 +131,8 @@ class HybridDemapper:
         the serving engine batches frames of several sessions (each with its
         own σ² estimate) over one shared centroid set, so the variances
         arrive as a vector.  Returns (or fills ``out`` with) ``(S, n, k)``
-        float64; on the default tier each row is bit-identical to
-        ``llrs`` at that row's σ².
+        float64; each row is byte-equal to ``llrs`` at that row's σ², on
+        every tier.
         """
         return self._core.llrs_multi(received, sigma2s, out=out)
 

@@ -164,10 +164,9 @@ class MaxLogDemapper(_PointSetDemapper):
 
         ``received`` is ``(S, n)`` (row ``s`` = the batch at sweep point
         ``s``) and ``sigma2s`` the matching per-row noise variances; returns
-        (or fills ``out`` with) float64 ``(S, n, k)``.  On the default tier
-        each slice ``[s]`` is bit-identical to ``llrs(received[s],
-        sigma2s[s])`` — the batched path only shares the distance stage and
-        applies the ``1/(2σ²)`` scalings from a vector.
+        (or fills ``out`` with) float64 ``(S, n, k)``.  :meth:`llrs` is the
+        S=1 call of the same kernel, so each slice ``[s]`` is byte-equal to
+        ``llrs(received[s], sigma2s[s])`` on every tier.
         """
         return self.backend.maxlog_llrs_multi(
             received, self.constellation.points, self._bitsets, sigma2s, out=out
@@ -222,8 +221,8 @@ class ExactLogMAPDemapper(_PointSetDemapper):
         """Exact LLRs for an ``(S, n)`` sweep tensor: ``(S, n, k)`` float64.
 
         Same contract as :meth:`MaxLogDemapper.llrs_multi` (per-row sigma,
-        shared distance stage, per-SNR slices bit-identical to the scalar
-        kernel on the default tier).
+        one kernel: each slice ``[s]`` is byte-equal to :meth:`llrs` on row
+        ``s``).
         """
         return self.backend.logmap_llrs_multi(
             received, self.constellation.points, self._bitsets, sigma2s, out=out

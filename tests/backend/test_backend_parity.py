@@ -194,37 +194,75 @@ def sweep_received(qam16):
     return received, sigma2s
 
 
+_DEMAPPERS = {"maxlog": MaxLogDemapper, "logmap": ExactLogMAPDemapper}
+
+
+@st.composite
+def _sweeps(draw):
+    """A random ``(S, n)`` 16-QAM sweep, per-row σ² and a kernel tile width.
+
+    Tile widths below ``S·n`` put tile boundaries (and a ragged tail)
+    inside rows, at other offsets than in a one-row call.
+    """
+    s = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 3000))
+    sigma2s = np.array(
+        draw(st.lists(st.floats(1e-3, 2.0), min_size=s, max_size=s)), dtype=np.float64
+    )
+    tile = draw(st.integers(50, 9000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = qam_constellation(16).points
+    unit = rng.normal(size=(s, n)) + 1j * rng.normal(size=(s, n))
+    received = points[rng.integers(0, 16, n)] + np.sqrt(sigma2s)[:, None] * unit
+    return received, sigma2s, tile
+
+
 class TestMultiSigmaParity:
-    """Batched (S, n) sweep kernels agree with the per-SNR kernels per slice."""
+    """Batched (S, n) sweep kernels: shape invariance, tolerance, contracts."""
 
-    def test_maxlog_multi_bit_identical_per_snr(self, qam16, sweep_received):
-        received, sigma2s = sweep_received
-        ml = MaxLogDemapper(qam16, backend="numpy")
-        multi = ml.llrs_multi(received, sigma2s)
-        assert multi.shape == (5, received.shape[1], 4)
-        for s in range(sigma2s.size):
-            assert np.array_equal(multi[s], ml.llrs(received[s], sigma2s[s]))
+    @pytest.mark.parametrize("metric", ["maxlog", "logmap"])
+    @pytest.mark.parametrize(
+        "tier",
+        [
+            "numpy",
+            "numpy32",
+            pytest.param(
+                "numba",
+                marks=pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed"),
+            ),
+        ],
+    )
+    @given(sweep=_sweeps())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_s1_calls(self, tier, metric, sweep):
+        """Every row of one S-row call is byte-equal to the S=1 call on that
+        row, whatever S, n and tile width; on the reference tier each row
+        also matches the pure-NumPy oracle."""
+        import repro.backend.numpy_backend as npb
 
-    def test_logmap_multi_bit_identical_per_snr(self, qam16, sweep_received):
-        received, sigma2s = sweep_received
-        ex = ExactLogMAPDemapper(qam16, backend="numpy")
-        multi = ex.llrs_multi(received, sigma2s)
-        for s in range(sigma2s.size):
-            assert np.array_equal(multi[s], ex.llrs(received[s], sigma2s[s]))
+        received, sigma2s, tile = sweep
+        qam16 = qam_constellation(16)
+        demapper = _DEMAPPERS[metric](qam16, backend=tier)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(npb, "MULTI_SIGMA_TILE", tile)
+            multi = demapper.llrs_multi(received, sigma2s)
+            rows = [demapper.llrs(row, s2) for row, s2 in zip(received, sigma2s)]
+        assert multi.shape == (*received.shape, 4) and multi.dtype == np.float64
+        for s, row in enumerate(rows):
+            assert multi[s].tobytes() == row.tobytes()
+            if tier != "numpy":
+                continue
+            if metric == "maxlog":
+                assert row.tobytes() == _reference_maxlog(qam16, received[s], sigma2s[s]).tobytes()
+            else:
+                ref = _reference_logmap(qam16, received[s], sigma2s[s])
+                np.testing.assert_allclose(row, ref, rtol=1e-12, atol=1e-12)
 
     def test_float32_multi_within_documented_tolerance(self, qam16, sweep_received):
         received, sigma2s = sweep_received
         m64 = MaxLogDemapper(qam16, backend="numpy").llrs_multi(received, sigma2s)
         m32 = MaxLogDemapper(qam16, backend="numpy32").llrs_multi(received, sigma2s)
         assert np.abs(m32 - m64).max() <= FLOAT32_LLR_RTOL * np.abs(m64).max()
-
-    def test_float32_multi_matches_own_scalar_kernel(self, qam16, sweep_received):
-        # within the float32 tier, batching must not change a single bit
-        received, sigma2s = sweep_received
-        ml = MaxLogDemapper(qam16, backend="numpy32")
-        multi = ml.llrs_multi(received, sigma2s)
-        for s in range(sigma2s.size):
-            assert np.array_equal(multi[s], ml.llrs(received[s], sigma2s[s]))
 
     def test_tiling_boundaries_do_not_change_results(self, qam16, sweep_received, monkeypatch):
         import repro.backend.numpy_backend as npb
@@ -303,22 +341,6 @@ class TestNumbaParity:
         rnp = ExactLogMAPDemapper(qam16, backend="numpy").llrs(received, 0.02)
         rjit = ExactLogMAPDemapper(qam16, backend="numba").llrs(received, 0.02)
         np.testing.assert_allclose(rjit, rnp, rtol=1e-10, atol=1e-10)
-
-    def test_maxlog_multi_matches_per_snr(self, qam16, sweep_received):
-        received, sigma2s = sweep_received
-        ml = MaxLogDemapper(qam16, backend="numba")
-        multi = ml.llrs_multi(received, sigma2s)
-        for s in range(sigma2s.size):
-            assert np.array_equal(multi[s], ml.llrs(received[s], sigma2s[s]))
-
-    def test_logmap_multi_matches_per_snr(self, qam16, sweep_received):
-        received, sigma2s = sweep_received
-        ex = ExactLogMAPDemapper(qam16, backend="numba")
-        multi = ex.llrs_multi(received, sigma2s)
-        for s in range(sigma2s.size):
-            np.testing.assert_allclose(
-                multi[s], ex.llrs(received[s], sigma2s[s]), rtol=1e-12, atol=1e-12
-            )
 
 
 class TestWorkspace:

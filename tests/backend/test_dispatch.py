@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backend import backend_from_name, get_backend
-from repro.backend.dispatch import (
-    DemapRequest,
-    batched_maxlog_llrs,
-    group_requests,
-    grouped_maxlog_llrs,
-)
+from repro.backend.dispatch import DemapRequest, batched_maxlog_llrs, group_requests
 from repro.modulation import MaxLogDemapper, qam_constellation
 
 
@@ -65,21 +60,6 @@ class TestGrouping:
 
 
 class TestParity:
-    def test_bit_identical_to_scalar_kernel(self, qam16, psk4):
-        """Every request's LLR block equals a sequential maxlog_llrs call."""
-        rng = np.random.default_rng(7)
-        reqs = [
-            _request(qam16, rng, 200, 0.03),
-            _request(psk4, rng, 200, 0.2),
-            _request(qam16, rng, 200, 0.08),
-            _request(qam16, rng, 128, 0.05),
-        ]
-        results = grouped_maxlog_llrs(reqs)
-        be = get_backend()
-        for req, got in zip(reqs, results):
-            ref = be.maxlog_llrs(req.received, req.points, req.bitsets, req.sigma2)
-            assert np.array_equal(got, ref)
-
     def test_batched_single_group_rows(self, qam16):
         rng = np.random.default_rng(3)
         reqs = [_request(qam16, rng, 96, 0.02 * (i + 1)) for i in range(6)]
@@ -89,25 +69,12 @@ class TestParity:
         for req, row in zip(reqs, llrs3):
             assert np.array_equal(row, be.maxlog_llrs(req.received, req.points, req.bitsets, req.sigma2))
 
-    def test_outs_threaded_and_filled(self, qam16):
-        rng = np.random.default_rng(5)
-        reqs = [_request(qam16, rng, 64, 0.1) for _ in range(3)]
-        outs = [np.empty((64, 4)) for _ in range(3)]
-        results = grouped_maxlog_llrs(reqs, outs=outs)
-        for out, res in zip(outs, results):
-            assert res is out
-        be = get_backend()
-        for req, out in zip(reqs, outs):
-            assert np.array_equal(out, be.maxlog_llrs(req.received, req.points, req.bitsets, req.sigma2))
-
     def test_float32_tier_runs(self, qam16):
         rng = np.random.default_rng(9)
         reqs = [_request(qam16, rng, 64, 0.1) for _ in range(3)]
-        be32 = backend_from_name("numpy32")
-        got = grouped_maxlog_llrs(reqs, backend=be32)
-        ref = grouped_maxlog_llrs(reqs)
-        for g, r in zip(got, ref):
-            assert np.allclose(g, r, atol=1e-3 * np.abs(r).max())
+        got = batched_maxlog_llrs(reqs, backend=backend_from_name("numpy32")).copy()
+        ref = batched_maxlog_llrs(reqs, backend=backend_from_name("numpy"))
+        assert np.allclose(got, ref, atol=1e-3 * np.abs(ref).max())
 
 
 class TestAllocationAndValidation:
@@ -115,10 +82,9 @@ class TestAllocationAndValidation:
         rng = np.random.default_rng(1)
         be = get_backend()
         reqs = [_request(qam16, rng, 128, 0.05 * (i + 1)) for i in range(4)]
-        outs = [np.empty((128, 4)) for _ in range(4)]
-        grouped_maxlog_llrs(reqs, outs=outs, backend=be)  # warm the workspace
+        batched_maxlog_llrs(reqs, backend=be)  # warm the workspace
         hits0, misses0 = be.workspace.stats
-        grouped_maxlog_llrs(reqs, outs=outs, backend=be)
+        batched_maxlog_llrs(reqs, backend=be)
         hits1, misses1 = be.workspace.stats
         assert misses1 == misses0  # no new scratch buffers
         assert hits1 > hits0
@@ -126,12 +92,6 @@ class TestAllocationAndValidation:
     def test_empty_batched_rejected(self):
         with pytest.raises(ValueError, match="at least one request"):
             batched_maxlog_llrs([])
-
-    def test_mismatched_outs_rejected(self, qam16):
-        rng = np.random.default_rng(1)
-        reqs = [_request(qam16, rng, 64, 0.1)]
-        with pytest.raises(ValueError, match="one entry per request"):
-            grouped_maxlog_llrs(reqs, outs=[])
 
     def test_ragged_group_rejected(self, qam16):
         rng = np.random.default_rng(1)

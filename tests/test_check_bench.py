@@ -45,8 +45,9 @@ def artifact(rates: dict[str, float], machine=MACHINE) -> dict:
     }
 
 
-def gate(module, monkeypatch, tmp_path, baseline: dict, fresh: dict, *argv):
-    """Run ``main`` with ``baseline`` committed and ``fresh`` as the run."""
+def gate(module, monkeypatch, tmp_path, baseline: dict, fresh: dict, *argv, suite_ok=True):
+    """Run ``main`` with ``baseline`` committed and ``fresh`` as the run
+    (which passed its in-bench assertions iff ``suite_ok``)."""
     path = tmp_path / "BENCH_micro.json"
     path.write_text(json.dumps(baseline))
     monkeypatch.setattr(module, "ARTIFACT", path)
@@ -54,6 +55,7 @@ def gate(module, monkeypatch, tmp_path, baseline: dict, fresh: dict, *argv):
     def run_suite():
         assert "--no-run" not in argv, "--no-run must not run the suite"
         path.write_text(json.dumps(fresh))
+        return suite_ok
 
     monkeypatch.setattr(module, "run_suite", run_suite)
     return module.main(list(argv))
@@ -75,6 +77,25 @@ def test_ratio_gate_below_floor_fails_and_names_the_pair(
     assert gate(check_bench, monkeypatch, tmp_path, artifact(rates), artifact(fresh)) == 1
     failed = capsys.readouterr().out.split("check_bench: FAILED")[1]
     assert "serving_batched[numpy] is only 1.00x serving_sequential[numpy]" in failed
+
+
+def test_suite_failure_still_prints_every_gate(check_bench, monkeypatch, tmp_path, capsys):
+    rates = passing_rates(check_bench)
+    fresh = dict(rates)
+    fresh["untracked[numpy]"] *= 0.6
+    code = gate(
+        check_bench, monkeypatch, tmp_path, artifact(rates), artifact(fresh), suite_ok=False
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    gates, failed = out.split("check_bench: FAILED")
+    for num, den, floor in check_bench.RATIO_GATES:
+        assert f"ratio {num} / {den}: " in gates
+    for name, _ in check_bench.ABSOLUTE_FLOORS:
+        assert f"floor {name}: " in gates
+    assert "untracked[numpy]" in gates
+    assert "benchmark suite failed" in failed
+    assert "untracked[numpy]" in failed and "40% below baseline" in failed
 
 
 def test_relative_drop_on_matching_machine_fails(check_bench, monkeypatch, tmp_path, capsys):
