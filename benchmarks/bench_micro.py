@@ -62,6 +62,8 @@ _CORE_BENCH_NAMES = frozenset(
         "serving_sequential[numpy]",
         "serving_traced[numpy]",
         "serving_kernel_floor[numpy]",
+        "serving_mixed_sets[numpy]",
+        "serving_one_set[numpy]",
         "serving_control_plane[numpy]",
         "serving_churn[numpy]",
         "serving_churn_sequential[numpy]",
@@ -163,8 +165,12 @@ def _bench_micro_artifact():
 
 
 def _record_timed(name: str, times: list[float], *, symbols: int | None = None,
-                  extra: dict | None = None) -> float:
-    """Record a manually timed benchmark (same artifact schema); returns mean."""
+                  extra: dict | None = None, stat: str = "mean") -> float:
+    """Record a manually timed benchmark (same artifact schema); returns mean.
+
+    ``symbols_per_second`` (the rate the gates read) is taken on ``stat``,
+    ``"mean"`` or ``"min"``, and the entry names it as ``rate_statistic``.
+    """
     if name not in _CORE_BENCH_NAMES | ENV_BENCH_NAMES:
         raise AssertionError(
             f"benchmark record name {name!r} is not registered in "
@@ -183,7 +189,8 @@ def _record_timed(name: str, times: list[float], *, symbols: int | None = None,
     entry = {"name": name, "stats": stats}
     if symbols is not None:
         entry["symbols_per_call"] = symbols
-        entry["symbols_per_second"] = symbols / stats["mean"]
+        entry["symbols_per_second"] = symbols / stats[stat]
+        entry["rate_statistic"] = stat
     if extra:
         entry.update(extra)
     _RESULTS.append(entry)
@@ -622,6 +629,87 @@ def test_serving_kernel_floor(benchmark, serving_setup):
         extra={"backend": "numpy", "sessions": SERVE_SESSIONS,
                "frame_symbols": fc.total_symbols},
     )
+
+
+def test_serving_mixed_sets(benchmark, serving_setup):
+    """The ``serving_batched`` round with its 64 sessions spread over 16
+    centroid sets (rotations of one 16-QAM, session ``i`` on set
+    ``i % 16``): same frames, same labelling, only the point sets differ.
+
+    Sessions that track or retrain end up on their own sets; the kernel
+    takes one set per row, so the round should still be one launch and
+    cost about what the one-set round costs.  Both rounds are timed
+    interleaved here and recorded on their min: ``serving_mixed_sets`` and
+    ``serving_one_set`` (the fixture engine's plain round, as in
+    ``serving_batched``).  ``check_bench.py`` gates their ratio, which
+    falls to about 0.6 when each set pays its own launch.
+    """
+    from repro.extraction import HybridDemapper, PilotBERMonitor
+    from repro.serving import (
+        DemapperSession,
+        EngineConfig,
+        ServingEngine,
+        SessionConfig,
+    )
+
+    engine, sessions, frames, fc = serving_setup
+    n = fc.total_symbols
+    symbols = SERVE_SESSIONS * n
+    base = sessions[0].hybrid
+    sets = [
+        HybridDemapper(constellation=base.constellation.rotated(0.01 * j), sigma2=base.sigma2)
+        for j in range(16)
+    ]
+    mixed = ServingEngine(config=EngineConfig(max_batch=SERVE_SESSIONS))
+    mixed_sessions = [
+        mixed.add_session(
+            DemapperSession(
+                f"m{i:03d}",
+                sets[i % 16],
+                PilotBERMonitor(0.5, window=4),
+                config=SessionConfig(frame=fc, queue_depth=2),
+            )
+        )
+        for i in range(SERVE_SESSIONS)
+    ]
+    pairs = [(m, frames[s.session_id]) for m, s in zip(mixed_sessions, sessions)]
+
+    def mixed_round():
+        for m, f in pairs:
+            m.submit(f)
+        return mixed.step()
+
+    def one_set_round():
+        for s in sessions:
+            s.submit(frames[s.session_id])
+        return engine.step()
+
+    assert mixed_round() == SERVE_SESSIONS  # warm workspace
+    batches0 = mixed.telemetry.batches
+    benchmark.pedantic(mixed_round, rounds=SERVE_ROUNDS, iterations=1, warmup_rounds=1)
+    launches = (mixed.telemetry.batches - batches0) / (SERVE_ROUNDS + 1)
+    if getattr(benchmark, "disabled", False) or benchmark.stats is None:
+        return  # --benchmark-disable run: nothing to compare
+    mixed_times, one_set_times = _interleaved_min_times(
+        mixed_round, one_set_round, rounds=6 * SERVE_ROUNDS
+    )
+    extra = {"backend": "numpy", "sessions": SERVE_SESSIONS, "frame_symbols": n}
+    _record_timed(
+        "serving_mixed_sets[numpy]", mixed_times, symbols=symbols, stat="min",
+        extra={**extra, "point_sets": len(sets), "launches_per_round": launches},
+    )
+    _record_timed(
+        "serving_one_set[numpy]", one_set_times, symbols=symbols, stat="min", extra=extra
+    )
+
+    # bit-identity: every session's LLRs are its own set's hybrid.llrs
+    caps = {}
+    mixed.on_frame = lambda s, f, llrs, rep: caps.__setitem__(s.session_id, llrs.copy())
+    mixed_round()
+    mixed.on_frame = None
+    for m, f in pairs:
+        assert np.array_equal(caps[m.session_id], m.hybrid.llrs(f.received))
+    mixed.close()
 
 
 def test_serving_control_plane_overhead(benchmark):

@@ -23,6 +23,9 @@ micro-benchmark suite (which rewrites the artifact in place), and compares:
      untraced engine — observability overhead capped at ~10%,
    * a plain serving round >= 0.37x one raw demap of the same symbols
      (``serving_kernel_floor``) — the round's work around the kernel,
+   * the same round with its sessions on 16 centroid sets >=
+     ``MIXED_SETS_FLOOR`` x the one-set round, the two timed interleaved
+     and read on their min — point sets share a launch,
    * one fused 8 x 1024-symbol max-log launch >= ``SWEEP_FUSION_FLOOR`` x
      its eight one-row calls (both tiers),
    * row-batched Viterbi (64 blocks, one launch) >= 10x the same 64 blocks
@@ -79,6 +82,14 @@ KERNEL_SHARE_FLOOR = 0.37
 #: read 0.94–1.03, so the floor fires on lost fusion with margin both ways.
 SWEEP_FUSION_FLOOR = 1.5
 
+#: Floor of ``serving_mixed_sets / serving_one_set``: the serving round
+#: with its 64 sessions on 16 centroid sets against the same round on one
+#: set, both timed interleaved in one test and recorded on their min.  On
+#: 2 vCPUs it read 0.55–0.60 when every set paid its own launch (16
+#: launches of 4 rows) and 0.89–0.95 with one launch of per-row sets, so
+#: the floor fires if point sets split launches again.
+MIXED_SETS_FLOOR = 0.75
+
 #: (numerator, denominator, floor) — machine-independent ratio invariants.
 RATIO_GATES = [
     ("serving_batched[numpy]", "serving_sequential[numpy]", 2.0),
@@ -87,6 +98,7 @@ RATIO_GATES = [
     ("serving_faulted[numpy]", "serving_sequential[numpy]", 1.3),
     ("serving_traced[numpy]", "serving_batched[numpy]", 0.9),
     ("serving_batched[numpy]", "serving_kernel_floor[numpy]", KERNEL_SHARE_FLOOR),
+    ("serving_mixed_sets[numpy]", "serving_one_set[numpy]", MIXED_SETS_FLOOR),
     ("sweep_maxlog_multi_1k[numpy]", "sweep_maxlog_seq_1k[numpy]", SWEEP_FUSION_FLOOR),
     ("sweep_maxlog_multi_1k[numpy32]", "sweep_maxlog_seq_1k[numpy32]", SWEEP_FUSION_FLOOR),
     ("viterbi_decode[rows64]", "viterbi_decode[rows1]", 10.0),

@@ -11,12 +11,15 @@ Rows ``0..k-1`` of :attr:`PaddedBitSets.table` are the bit=0 sets, rows
 ``k..2k-1`` the bit=1 sets, each padded to the widest set.  Padding entries
 repeat the row's first index — harmless for ``min`` reductions — and
 :attr:`sizes` records the true set lengths for reductions (like log-sum-exp)
-where duplicates would bias the result.
+where duplicates would bias the result.  :attr:`rows` holds the same
+unpadded sets as tuples of Python ints, the form the NumPy kernels' per-set
+loops index with (a Python int picks a row of a 2-D array faster than a
+NumPy integer does).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,12 +42,23 @@ class PaddedBitSets:
         Bits per symbol.
     order:
         Number of points M.
+    rows:
+        ``(2k,)`` tuple of the unpadded rows of ``table`` as tuples of
+        Python ints (derived, not an argument).
     """
 
     table: np.ndarray
     sizes: np.ndarray
     k: int
     order: int
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rows = tuple(
+            tuple(int(i) for i in self.table[r, : self.sizes[r]])
+            for r in range(self.table.shape[0])
+        )
+        object.__setattr__(self, "rows", rows)
 
     @property
     def width(self) -> int:

@@ -1,21 +1,25 @@
-"""Group-by-constellation batched dispatch over the multi-sigma kernels.
+"""Group-by-labelling batched dispatch over the multi-sigma kernels.
 
 The serving engine coalesces pending frames *across sessions* into one
-micro-batch.  Sessions do not share a σ² estimate — each owns its own — but
-many share a constellation/centroid point set, and the multi-sigma kernels
-introduced for SNR sweeps (``maxlog_llrs_multi``) already solve exactly this
-shape: an ``(S, n)`` received tensor with a per-row σ² vector over one shared
-point set.  This module provides the grouping layer in between: take a list
-of per-frame demap requests (each with its own points / bit sets / σ² /
-received row), partition it into groups whose members share a point set, a
-bit labelling, and a row length, and dispatch **one** fused kernel launch per
-group instead of one per request.
+micro-batch.  Sessions do not share a σ² estimate — each owns its own — and
+a session that tracks or retrains owns its centroid set too, but the
+multi-sigma kernels (``maxlog_llrs_multi``) take both per row: an ``(S, n)``
+received tensor, a per-row σ² vector and one shared ``(M,)`` or per-row
+``(S, M)`` point table.  What the rows of one launch must share is the bit
+labelling (the kernel's per-bit index table) and the row length.  This
+module provides the grouping layer in between: take a list of per-frame
+demap requests (each with its own points / bit sets / σ² / received row),
+partition it into groups whose members share a bit labelling, point count
+and row length, and dispatch **one** fused kernel launch per group instead
+of one per request.  Within a group, rows sharing a point set are adjacent,
+so the kernel subtracts each set once over its whole run of columns.
 
-The stacked ``(S, n)`` input, the per-group σ² vector and the ``(S, n, k)``
-kernel output all live in the backend workspace, so a steady-state serving
-loop allocates nothing.  On every tier each request's LLR block is
-byte-equal to the one-row ``maxlog_llrs`` call on that request alone: the
-multi kernel's rows never depend on the batch they share.
+The stacked ``(S, n)`` input, the per-group σ² vector, a multi-set group's
+``(S, M)`` point table and the ``(S, n, k)`` kernel output all live in the
+backend workspace, so a steady-state serving loop allocates nothing.  On
+every tier each request's LLR block is byte-equal to the one-row
+``maxlog_llrs`` call on that request alone: the multi kernel's rows never
+depend on the batch they share.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.backend.core import get_backend
 __all__ = [
     "DemapRequest",
     "group_requests",
+    "point_runs",
     "batched_maxlog_llrs",
     "grouped_viterbi_decode",
 ]
@@ -84,33 +89,52 @@ def _cached_bytes(arr: np.ndarray) -> bytes:
 
 
 def _group_key(req: DemapRequest) -> tuple:
-    """Batching key: requests batch iff point set, labelling and length match.
+    """Batching key: requests batch iff labelling, point count and length
+    match.
 
-    Content-based (point values, not object identity), so two sessions whose
-    centroid sets were extracted independently but landed on identical points
-    still share a launch, while a session whose demapper was just swapped
-    falls out of its old group automatically.  The content bytes are cached
-    per array object (see :data:`_content_keys`), so the common case — many
-    sessions sharing one constellation — costs a dict hit per request.
+    The point set is not part of the key: the kernels take one set per row,
+    so sessions on different centroid sets (tracked, retrained or simply
+    extracted apart) share a launch.  The labelling is compared by content
+    (the bit-set table bytes, cached per array object — see
+    :data:`_content_keys`), so the common case costs a dict hit per request.
     """
     return (
-        _cached_bytes(req.points),
+        req.bitsets.order,
         _cached_bytes(req.bitsets.table),
         int(np.asarray(req.received).size),
     )
 
 
 def group_requests(requests: Sequence[DemapRequest]) -> list[list[int]]:
-    """Partition request indices into batchable groups (input order kept).
+    """Partition request indices into batchable groups.
 
-    Returns a list of index lists; each inner list names the requests of one
-    group, in their original submission order (so batching never reorders a
-    session's frames relative to each other).
+    Returns a list of index lists in order of each group's first request.
+    Within a group, requests are ordered by the first appearance of their
+    point set (compared by content), then by submission order: the rows of
+    each point set form one consecutive run, and a session's frames are
+    never reordered relative to each other.
     """
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple, dict[bytes, list[int]]] = {}
     for i, req in enumerate(requests):
-        groups.setdefault(_group_key(req), []).append(i)
-    return list(groups.values())
+        sets = groups.setdefault(_group_key(req), {})
+        sets.setdefault(_cached_bytes(req.points), []).append(i)
+    return [[i for run in sets.values() for i in run] for sets in groups.values()]
+
+
+def point_runs(requests: Sequence[DemapRequest]) -> list[tuple[int, int]]:
+    """``(start, stop)`` row ranges of consecutive requests sharing a point
+    set (by content; a shared array object is recognised without reading
+    it)."""
+    runs = []
+    start, prev = 0, requests[0].points
+    for i in range(1, len(requests)):
+        pts = requests[i].points
+        if pts is not prev and _cached_bytes(pts) != _cached_bytes(prev):
+            runs.append((start, i))
+            start = i
+        prev = pts
+    runs.append((start, len(requests)))
+    return runs
 
 
 def batched_maxlog_llrs(
@@ -122,13 +146,16 @@ def batched_maxlog_llrs(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """One fused launch for requests already known to share a group.
 
-    All requests must share a point set, bit labelling and row length (the
-    first request is taken as the group's reference — callers obtain such
-    groups from :func:`group_requests`).  Returns the scratch-owned
-    ``(S, n, k)`` LLR tensor: row ``s`` is request ``s``'s LLR block, valid
-    until the next kernel call on this backend from the same thread.  The
-    stacked input, σ² vector and output all live in the workspace under
-    ``key``-namespaced entries, so steady-state callers allocate nothing.
+    All requests must share a bit labelling and row length (the first
+    request is taken as the group's reference — callers obtain such groups
+    from :func:`group_requests`).  A group on one point set passes that
+    ``(M,)`` set to the kernel as is; a group on several gets a
+    ``key``-namespaced ``(S, M)`` table with one set per row.  Returns the
+    scratch-owned ``(S, n, k)`` LLR tensor: row ``s`` is request ``s``'s LLR
+    block, valid until the next kernel call on this backend from the same
+    thread.  The stacked input, σ² vector and output all live in the
+    workspace under ``key``-namespaced entries, so steady-state callers
+    allocate nothing.
 
     With ``with_received`` the scratch-owned stacked ``(S, n)`` input is
     returned alongside the LLRs — callers that post-process the same batch
@@ -150,9 +177,15 @@ def batched_maxlog_llrs(
             raise ValueError(f"request {row} has length {rec.size}, group expects {n}")
         np.copyto(stacked[row], rec, casting="same_kind")
         sig[row] = req.sigma2
+    runs = point_runs(requests)
+    points = first.points
+    if len(runs) > 1:
+        points = be.scratch(f"{key}_pts", (s, first.bitsets.order), dtype=np.complex128)
+        for start, stop in runs:
+            points[start:stop] = requests[start].points
     llrs = be.maxlog_llrs_multi(
         stacked,
-        first.points,
+        points,
         first.bitsets,
         sig,
         out=be.scratch(f"{key}_llr", (s, n, k), dtype=np.float64),

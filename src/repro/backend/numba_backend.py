@@ -13,7 +13,7 @@ The jitted kernels fuse the whole demapping pipeline per symbol — distance,
 per-bit minima (or streaming log-sum-exp), scaling — in one cache-resident
 pass over a stack-local distance vector, the same dataflow as the FPGA's
 pipelined distance/min-tree stages.  There is one kernel per soft metric,
-over ``(S, n)`` with per-row σ²; the inherited ``maxlog_llrs``/
+over ``(S, n)`` with per-row σ² and one shared or per-row point set; the inherited ``maxlog_llrs``/
 ``logmap_llrs`` are its S=1 calls.  Hard decisions are bit-identical to the
 NumPy float64 tier: identical IEEE double operations, only the loop
 scheduling differs.
@@ -49,16 +49,17 @@ def _get_kernels() -> SimpleNamespace:  # pragma: no cover - needs numba install
     from numba import njit
 
     @njit(cache=True)
-    def maxlog_multi(y_re, y_im, c_re, c_im, table, sizes, k, scale_col, out):
-        # per-sample (= per sweep row) 1/(2σ²) scaling read from the
-        # expanded column vector
+    def maxlog_multi(y_re, y_im, c_re, c_im, row_len, table, sizes, k, scale_col, out):
+        # sample i reads point set i // row_len of the (sets, M) tables and
+        # its row's 1/(2σ²) from the expanded column vector
         n = y_re.size
-        m = c_re.size
+        m = c_re.shape[1]
         d2 = np.empty(m, dtype=np.float64)
         for i in range(n):
+            c = i // row_len
             for p in range(m):
-                dr = y_re[i] - c_re[p]
-                di = y_im[i] - c_im[p]
+                dr = y_re[i] - c_re[c, p]
+                di = y_im[i] - c_im[c, p]
                 d2[p] = dr * dr + di * di
             for j in range(k):
                 m0 = np.inf
@@ -74,15 +75,16 @@ def _get_kernels() -> SimpleNamespace:  # pragma: no cover - needs numba install
                 out[i, j] = (m0 - m1) * scale_col[i]
 
     @njit(cache=True)
-    def logmap_multi(y_re, y_im, c_re, c_im, table, sizes, k, inv_2s2_col, out):
+    def logmap_multi(y_re, y_im, c_re, c_im, row_len, table, sizes, k, inv_2s2_col, out):
         n = y_re.size
-        m = c_re.size
+        m = c_re.shape[1]
         metric = np.empty(m, dtype=np.float64)
         for i in range(n):
+            c = i // row_len
             inv_2s2 = inv_2s2_col[i]
             for p in range(m):
-                dr = y_re[i] - c_re[p]
-                di = y_im[i] - c_im[p]
+                dr = y_re[i] - c_re[c, p]
+                di = y_im[i] - c_im[c, p]
                 metric[p] = -(dr * dr + di * di) * inv_2s2
             for j in range(k):
                 mx1 = -np.inf
@@ -190,38 +192,49 @@ class NumbaBackend(NumpyBackend):
         super().__init__(np.float64, name="numba")
         self._k = _get_kernels()
 
-    def _prepared(self, received, points):  # pragma: no cover - needs numba
+    def _prepared(self, received, points, s_count=1):  # pragma: no cover - needs numba
+        """Received row(s) and ``(sets, M)`` float64 point tables, plus the
+        samples per set: one ``(M,)`` set spans every sample, an ``(S, M)``
+        table one set per received row."""
         yr, yi = self._split_received(received)
-        c = np.asarray(points).ravel()
-        return yr, yi, np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
+        c = np.asarray(points)
+        if c.ndim > 1 and (c.ndim != 2 or c.shape[0] != s_count):
+            raise ValueError(
+                f"points must be (M,) or one set per row ({s_count}, M), got {c.shape}"
+            )
+        c = c.reshape(-1, c.shape[-1])
+        row_len = max(yr.size // max(c.shape[0], 1), 1)
+        c_re = np.ascontiguousarray(c.real, dtype=np.float64)
+        c_im = np.ascontiguousarray(c.imag, dtype=np.float64)
+        return yr, yi, c_re, c_im, row_len
 
     def maxlog_llrs_multi(self, received, points, bitsets, sigma2s, out=None):  # pragma: no cover
         y, s_count, n, sig = _check_multi_args(received, sigma2s)
-        yr, yi, c_re, c_im = self._prepared(y, points)
+        yr, yi, c_re, c_im, row_len = self._prepared(y, points, s_count)
         out = _check_llr_multi_out(out, s_count, n, bitsets.k)
         scale_col = np.repeat(1.0 / (2.0 * sig), n)
         self._k.maxlog_multi(
-            yr, yi, c_re, c_im, bitsets.table, bitsets.sizes,
+            yr, yi, c_re, c_im, row_len, bitsets.table, bitsets.sizes,
             bitsets.k, scale_col, out.reshape(s_count * n, bitsets.k),
         )
         return out
 
     def logmap_llrs_multi(self, received, points, bitsets, sigma2s, out=None):  # pragma: no cover
         y, s_count, n, sig = _check_multi_args(received, sigma2s)
-        yr, yi, c_re, c_im = self._prepared(y, points)
+        yr, yi, c_re, c_im, row_len = self._prepared(y, points, s_count)
         out = _check_llr_multi_out(out, s_count, n, bitsets.k)
         inv_col = np.repeat(1.0 / (2.0 * sig), n)
         self._k.logmap_multi(
-            yr, yi, c_re, c_im, bitsets.table, bitsets.sizes,
+            yr, yi, c_re, c_im, row_len, bitsets.table, bitsets.sizes,
             bitsets.k, inv_col, out.reshape(s_count * n, bitsets.k),
         )
         return out
 
     def hard_indices(self, received, points):  # pragma: no cover - needs numba
         y = np.asarray(received)
-        yr, yi, c_re, c_im = self._prepared(y, points)
+        yr, yi, c_re, c_im, _ = self._prepared(y, np.ravel(points))
         out = np.empty(yr.size, dtype=np.intp)
-        self._k.hard(yr, yi, c_re, c_im, out)
+        self._k.hard(yr, yi, c_re[0], c_im[0], out)
         return out.reshape(y.shape) if y.ndim != 1 else out
 
     def viterbi_decode(self, arrivals, src, *, key="viterbi"):  # pragma: no cover - needs numba

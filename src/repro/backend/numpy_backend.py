@@ -9,9 +9,11 @@ workspace, so steady-state batches allocate only the caller-visible output
 (nothing at all when ``out=`` is passed).
 
 Each soft metric has one kernel per tier: ``maxlog_llrs_multi`` and
-``logmap_llrs_multi`` demap an ``(S, n)`` tensor with per-row σ² in
-cache-sized column tiles, and ``maxlog_llrs``/``logmap_llrs`` are their S=1
-calls.  A row's LLRs never depend on S or on where the tile boundaries fall.
+``logmap_llrs_multi`` demap an ``(S, n)`` tensor with per-row σ² (and
+optionally per-row point sets) in cache-sized column tiles, and
+``maxlog_llrs``/``logmap_llrs`` are their S=1 calls.  A row's LLRs never
+depend on S, on its batchmates' point sets or on where the tile boundaries
+fall.
 
 The float64 tier reproduces the pre-backend reference implementation
 bit-for-bit (same IEEE operations in the same order per element); the
@@ -20,6 +22,9 @@ documented LLR tolerance (see ``FLOAT32_LLR_RTOL``).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -110,6 +115,44 @@ def _column_tiles(total: int, tile: int):
         yield full, total, "#tail"
 
 
+def _runs_in(bounds: list[int], start: int, stop: int) -> tuple:
+    """``(run, a, b)`` per point-set run overlapping columns ``start:stop``:
+    the run's index and its clipped column range."""
+    if len(bounds) == 2:
+        return ((0, start, stop),)
+    r = bisect_right(bounds, start) - 1
+    runs = []
+    while bounds[r] < stop:
+        runs.append((r, max(bounds[r], start), min(bounds[r + 1], stop)))
+        r += 1
+    return tuple(runs)
+
+
+@contextmanager
+def _unbuffered():
+    """numpy's smallest ufunc buffer, for a tile's per-run subtracts.
+
+    A run's ``(M, w)`` block is a column slice numpy cannot fold into one
+    loop, and for ``w <= bufsize/3`` numpy 2.4's iterator buffers such
+    slices at about 4x the per-element cost.  No operand of the distance
+    stage needs a cast, so the smallest buffer only skips that detour; the
+    arithmetic is unchanged.  Scoped by ``errstate``, so the caller's
+    buffer size is restored on exit.
+    """
+    with np.errstate():
+        np.setbufsize(16)
+        yield
+
+
+def _subtract_runs(
+    runs: tuple, start: int, c: np.ndarray, y: np.ndarray, out: np.ndarray
+) -> None:
+    """``out[p, j] = c[run, p] - y[j]`` over each run's columns of a tile
+    starting at column ``start``, one shared-point broadcast per run."""
+    for r, a, b in runs:
+        np.subtract(c[r, :, None], y[None, a:b], out=out[:, a - start : b - start])
+
+
 def _tile_of(scale, start: int, stop: int):
     """The columns ``start:stop`` of a :meth:`NumpyBackend._row_scale`."""
     return scale if scale.ndim == 0 else scale[start:stop]
@@ -158,25 +201,55 @@ class NumpyBackend:
         np.copyto(yi, y.imag, casting="same_kind")
         return yr, yi
 
-    def _split_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Constellation points -> real/imag vectors in the working dtype."""
-        c = np.asarray(points).ravel()
-        return c.real.astype(self.dtype), c.imag.astype(self.dtype)
+    def _point_runs(
+        self, points: np.ndarray, s_count: int, n: int
+    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Point sets -> per-run real/imag tables and their column bounds.
+
+        ``points`` is one ``(M,)`` set shared by all ``s_count`` rows or an
+        ``(S, M)`` table holding each row's own set.  Consecutive rows with
+        byte-equal sets form one run.  Returns the ``(R, M)`` working-dtype
+        real and imaginary tables (one row per run) and the ``R + 1`` run
+        boundaries over the flattened ``S·n`` columns.
+        """
+        c = np.asarray(points)
+        if c.ndim <= 1:
+            c, heads = c.reshape(1, -1), [0]
+        else:
+            if c.ndim != 2 or c.shape[0] != s_count:
+                raise ValueError(
+                    f"points must be (M,) or one set per row ({s_count}, M), got {c.shape}"
+                )
+            c = np.ascontiguousarray(c, dtype=np.complex128)
+            bits = c.view(np.uint64)
+            new_set = (bits[1:] != bits[:-1]).any(axis=1)
+            heads = [0, *(np.flatnonzero(new_set) + 1).tolist()]
+            c = c[heads]
+        bounds = [h * n for h in heads]
+        bounds.append(s_count * n)
+        return c.real.astype(self.dtype), c.imag.astype(self.dtype), bounds
 
     def _distances_tile(
         self, yr: np.ndarray, yi: np.ndarray,
-        c_re: np.ndarray, c_im: np.ndarray,
+        c_re: np.ndarray, c_im: np.ndarray, bounds: list[int],
         start: int, stop: int, key: str,
     ) -> np.ndarray:
         """Squared-distance block ``(M, stop-start)`` for one column slice,
-        in the ``key``-named scratch buffers."""
-        m = c_re.size
+        in the ``key``-named scratch buffers.
+
+        Each run of :meth:`_point_runs` inside the slice is subtracted with
+        its own point set broadcast over its columns; one run is the whole
+        slice.
+        """
+        m = c_re.shape[1]
         d2 = self.scratch(key, (m, stop - start))
         t = self.scratch(key + "~tmp", (m, stop - start))
-        np.subtract(c_re[:, None], yr[None, start:stop], out=d2)
-        np.multiply(d2, d2, out=d2)
-        np.subtract(c_im[:, None], yi[None, start:stop], out=t)
-        np.multiply(t, t, out=t)
+        runs = _runs_in(bounds, start, stop)
+        with _unbuffered() if len(runs) > 1 else nullcontext():
+            _subtract_runs(runs, start, c_re, yr, d2)
+            np.multiply(d2, d2, out=d2)
+            _subtract_runs(runs, start, c_im, yi, t)
+            np.multiply(t, t, out=t)
         np.add(d2, t, out=d2)
         return d2
 
@@ -187,19 +260,17 @@ class NumpyBackend:
         call on this backend from the same thread.
         """
         yr, yi = self._split_received(received)
-        c_re, c_im = self._split_points(points)
-        return self._distances_tile(yr, yi, c_re, c_im, 0, yr.size, "d2_t")
+        c_re, c_im, bounds = self._point_runs(np.ravel(points), 1, yr.size)
+        return self._distances_tile(yr, yi, c_re, c_im, bounds, 0, yr.size, "d2_t")
 
     def _set_minima(self, d2: np.ndarray, bitsets: PaddedBitSets, key: str) -> np.ndarray:
         """Row-wise minima per padded bit set: ``(2k, n)`` scratch array."""
         n = d2.shape[1]
         mins = self.scratch(key, (2 * bitsets.k, n))
-        table, sizes = bitsets.table, bitsets.sizes
-        for s in range(table.shape[0]):
-            acc = mins[s]
-            np.copyto(acc, d2[table[s, 0]])
-            for t in range(1, sizes[s]):
-                np.minimum(acc, d2[table[s, t]], out=acc)
+        for acc, (first, *rest) in zip(mins, bitsets.rows):
+            np.copyto(acc, d2[first])
+            for t in rest:
+                np.minimum(acc, d2[t], out=acc)
         return mins
 
     # -- demapping kernels --------------------------------------------------
@@ -259,13 +330,15 @@ class NumpyBackend:
         """Max-log LLRs for a whole SNR sweep in one launch: ``(S, n, k)``.
 
         ``received`` is an ``(S, n)`` tensor (row ``s`` = the received batch
-        at sweep point ``s``); ``sigma2s`` holds the per-row noise variances.
-        The distance + per-bit reduction stage runs once over the flattened
-        ``S·n`` samples (column-tiled so each block stays cache-resident) and
-        the S ``1/(2σ²)`` scalings are applied from a per-column vector (a
-        scalar when S=1: the same products).  Each LLR is a function of its
-        own sample and σ² only, so ``out[s]`` is byte-equal to the S=1 call
-        on row ``s``.
+        at sweep point ``s``); ``sigma2s`` holds the per-row noise variances;
+        ``points`` is one ``(M,)`` set for every row or an ``(S, M)`` table
+        of per-row sets (all labelled by ``bitsets``).  The distance +
+        per-bit reduction stage runs once over the flattened ``S·n`` samples
+        (column-tiled so each block stays cache-resident) and the S
+        ``1/(2σ²)`` scalings are applied from a per-column vector (a scalar
+        when S=1: the same products).  Each LLR is a function of its own
+        sample, point set and σ² only, so ``out[s]`` is byte-equal to the
+        S=1 call on row ``s`` with row ``s``'s points.
         """
         y, s_count, n, sig = _check_multi_args(received, sigma2s)
         k = bitsets.k
@@ -275,10 +348,12 @@ class NumpyBackend:
             return out
         out_flat = out.reshape(total, k)
         yr, yi = self._split_received(y)
-        c_re, c_im = self._split_points(points)
+        c_re, c_im, bounds = self._point_runs(points, s_count, n)
         scale = self._row_scale("inv2s2_col", 1.0, sig, n)
         for start, stop, tag in _column_tiles(total, MULTI_SIGMA_TILE):
-            d2 = self._distances_tile(yr, yi, c_re, c_im, start, stop, "sw_d2" + tag)
+            d2 = self._distances_tile(
+                yr, yi, c_re, c_im, bounds, start, stop, "sw_d2" + tag
+            )
             mins = self._set_minima(d2, bitsets, key="sw_mins" + tag)
             diff = self.scratch("sw_llr" + tag, (k, stop - start))
             np.subtract(mins[:k], mins[k:], out=diff)
@@ -296,7 +371,8 @@ class NumpyBackend:
     ) -> np.ndarray:
         """Exact log-MAP LLRs for a whole SNR sweep: ``(S, n, k)`` float64.
 
-        Same layout/contract as :meth:`maxlog_llrs_multi`; the shared distance
+        Same layout/contract as :meth:`maxlog_llrs_multi` (per-row point
+        sets included); the shared distance
         stage and per-set minima are computed once per column tile, then the
         streaming log-sum-exp runs with the per-column ``-1/(2σ²)`` metric
         scale.
@@ -309,12 +385,13 @@ class NumpyBackend:
             return out
         out_flat = out.reshape(total, k)
         yr, yi = self._split_received(y)
-        c_re, c_im = self._split_points(points)
+        c_re, c_im, bounds = self._point_runs(points, s_count, n)
         neg = self._row_scale("neg_inv2s2_col", -1.0, sig, n)
-        table, sizes = bitsets.table, bitsets.sizes
         for start, stop, tag in _column_tiles(total, MULTI_SIGMA_TILE):
             w = stop - start
-            d2 = self._distances_tile(yr, yi, c_re, c_im, start, stop, "sw_d2" + tag)
+            d2 = self._distances_tile(
+                yr, yi, c_re, c_im, bounds, start, stop, "sw_d2" + tag
+            )
             mins = self._set_minima(d2, bitsets, key="sw_mins" + tag)
             nc = _tile_of(neg, start, stop)
             # Pre-scale the whole tile to the LSE metric once: each point row
@@ -324,16 +401,15 @@ class NumpyBackend:
             lse = self.scratch("sw_lse" + tag, (2 * k, w))
             acc = self.scratch("sw_lse_acc" + tag, (w,))
             tmp = self.scratch("sw_lse_tmp" + tag, (w,))
-            for s in range(table.shape[0]):
-                mx = mins[s]
+            for mx, row, lse_s in zip(mins, bitsets.rows, lse):
                 np.multiply(mx, nc, out=mx)
                 acc.fill(0.0)
-                for t in range(sizes[s]):
-                    np.subtract(d2[table[s, t]], mx, out=tmp)
+                for t in row:
+                    np.subtract(d2[t], mx, out=tmp)
                     np.exp(tmp, out=tmp)
                     np.add(acc, tmp, out=acc)
                 np.log(acc, out=acc)
-                np.add(mx, acc, out=lse[s])
+                np.add(mx, acc, out=lse_s)
             diff = self.scratch("sw_llr" + tag, (k, w))
             np.subtract(lse[k:], lse[:k], out=diff)
             np.copyto(out_flat[start:stop], diff.T, casting="same_kind")
@@ -350,11 +426,13 @@ class NumpyBackend:
         """
         y = np.asarray(received)
         yr, yi = self._split_received(y)
-        c_re, c_im = self._split_points(points)
         total = yr.size
+        c_re, c_im, bounds = self._point_runs(np.ravel(points), 1, total)
         out = np.empty(total, dtype=np.intp)
         for start, stop, tag in _column_tiles(total, MULTI_SIGMA_TILE):
-            d2 = self._distances_tile(yr, yi, c_re, c_im, start, stop, "sw_d2" + tag)
+            d2 = self._distances_tile(
+                yr, yi, c_re, c_im, bounds, start, stop, "sw_d2" + tag
+            )
             np.argmin(d2, axis=0, out=out[start:stop])
         return out.reshape(y.shape) if y.ndim != 1 else out
 

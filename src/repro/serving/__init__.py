@@ -14,8 +14,8 @@ into an online, *self-adapting* serving system:
   ``WeightController`` steers each session's live scheduler share from its
   own queue-wait histogram (boost on missed SLO, decay back when healthy);
 * :mod:`repro.serving.batching` — cross-session micro-batching onto the
-  multi-sigma backend kernels (sessions sharing a centroid set share one
-  fused launch);
+  multi-sigma backend kernels (sessions sharing a bit labelling and frame
+  length share one fused launch, each row on its own centroid set);
 * :mod:`repro.serving.config` — ``EngineConfig``, the one frozen
   construction config an engine (or every shard of a fleet) is built from;
 * :mod:`repro.serving.coding` — coded traffic: ``CodedFrameConfig``
@@ -27,7 +27,8 @@ into an online, *self-adapting* serving system:
   demap, estimate σ², monitor, climb the adaptation ladder
   (track → retrain);
 * :mod:`repro.serving.fleet` — ``FleetFrontEnd``: N engine shards behind
-  one facade, with constellation-affinity placement, live migration
+  one facade, with constellation-affinity placement (a content hash of
+  the centroid set; coalescing does not depend on it), live migration
   (drain-handover, zero frame loss) and fleet-merged telemetry;
 * :mod:`repro.serving.worker` — background retrain/re-extract jobs with
   atomic per-session demapper swaps (no global stall); every job failure

@@ -4,16 +4,19 @@ A serving round's scheduler (:mod:`repro.serving.scheduler`) decides *which*
 frames leave which queues; this module decides *how they share kernels*:
 :func:`coalesce` partitions the pulled ``(session, frame, enqueue-tick)``
 triples into :class:`MicroBatch` groups via the backend's
-group-by-constellation dispatch (:mod:`repro.backend.dispatch`): frames
-whose sessions share a centroid point set, bit labelling and frame length
-ride one fused ``maxlog_llrs_multi`` launch with a per-session σ² vector.
+group-by-labelling dispatch (:mod:`repro.backend.dispatch`): frames whose
+sessions share a bit labelling, point count and frame length ride one
+fused ``maxlog_llrs_multi`` launch with a per-session σ² vector and, when
+the sessions' centroid sets differ, one point set per row.  Within a
+batch, the frames of each point set are consecutive, in order of the set's
+first frame, then in pull order.
 
 Batch composition therefore varies with queue fill, ``max_batch``,
-scheduler weights and which sessions happen to be retraining — but on the
-default backend tier the multi-sigma kernel's rows are bit-identical to
-sequential per-frame calls, so *what* each session receives never depends
-on *who it was batched with*.  That is the invariance the serving
-determinism tests pin down.
+scheduler weights and which sessions happen to be retraining or on their
+own centroids — but on the default backend tier the multi-sigma kernel's
+rows are bit-identical to sequential per-frame calls, so *what* each
+session receives never depends on *who it was batched with*.  That is the
+invariance the serving determinism tests pin down.
 
 :func:`collect_microbatches` is the one-frame-per-ready-session pull of the
 pre-scheduler engine, kept as a convenience for tests and direct users; the
@@ -47,10 +50,12 @@ def _session_request(session: DemapperSession, frame: ServingFrame) -> DemapRequ
 
 @dataclass(frozen=True)
 class MicroBatch:
-    """Frames (one per session) sharing a point set, labelling and length.
+    """Frames (one per session) sharing a bit labelling and length.
 
     ``requests`` are the dispatch requests the batch was *grouped by*,
-    built once at collect time (row order = batch order); ``enqueued_at``
+    built once at collect time (row order = batch order; rows on one point
+    set are consecutive, see :func:`repro.backend.dispatch.point_runs`),
+    so each row is demapped on its own session's points; ``enqueued_at``
     holds each frame's submission tick on the engine's simulated clock (for
     the queue-wait histogram).
     """
@@ -77,8 +82,10 @@ def coalesce(
 ) -> list[MicroBatch]:
     """Group already-pulled ``(session, frame, enqueue-tick)`` triples.
 
-    Requests are grouped by constellation content/labelling/length in pull
-    order; groups larger than ``max_batch`` are split, preserving order, so
+    Requests are grouped by labelling and length in order of each group's
+    first pull; within a group, each point set's frames are consecutive (in
+    order of the set's first pull, then pull order).  Groups larger than
+    ``max_batch`` are split, preserving that order, so
     one launch never exceeds the configured coalescing width.  The caller
     guarantees at most one frame per session per call (the engine's wave
     loop; violating that would let one launch serve two frames of a session

@@ -78,7 +78,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.backend import get_backend
-from repro.backend.dispatch import batched_maxlog_llrs
+from repro.backend.dispatch import batched_maxlog_llrs, point_runs
 from repro.backend.numpy_backend import NumpyBackend
 from repro.extraction.monitor import TIER_RETRAIN, TIER_TRACK
 from repro.link.estimation import estimate_noise_sigma2_batch
@@ -516,6 +516,8 @@ class ServingEngine:
         be = self.backend
         s_count = batch.occupancy
         n = batch.frames[0].n_symbols
+        # rows may demap on different point sets, but a batch shares one
+        # bit-set table, and equal tables mean equal bit matrices
         first = batch.sessions[0].hybrid.constellation
         k = first.bits_per_symbol
         # poison guard, always full-width: a non-finite received sample
@@ -553,16 +555,20 @@ class ServingEngine:
         row-local call, or None when no row has ``sigma2_alpha > 0``.
 
         Exact on the pilot span: the reductions only lose trailing zeros.
+        Each row's reference symbols come from the point set it was
+        demapped with (one gather per run of rows sharing a set).
         """
         if not any(s.config.sigma2_alpha > 0.0 for s in batch.sessions):
             return None
         t0 = self._clock()
         w = acc.w
-        points = batch.sessions[0].hybrid.constellation.points
         ref = self.backend.workspace.scratch(
             key + "_ref", (batch.occupancy, w), dtype=np.complex128
         )
-        np.take(points, acc.idx[:, :w].reshape(-1), out=ref.reshape(-1))
+        for start, stop in point_runs(batch.requests):
+            np.take(
+                batch.requests[start].points, acc.idx[start:stop, :w], out=ref[start:stop]
+            )
         sigma2_est = estimate_noise_sigma2_batch(ref, stacked_rx[:, :w], acc.pmask[:, :w])
         self._stage("sigma2-estimate", t0)
         return sigma2_est

@@ -8,14 +8,15 @@ engine *shards*, each a full engine (own scheduler, supervisor, worker
 pool, telemetry, simulated clock) built from one replicated
 :class:`~repro.serving.config.EngineConfig`.
 
-**Constellation-affinity placement.**  Cross-session coalescing only pays
-when co-tenants share a centroid set (:func:`repro.serving.batching.
-coalesce` groups by constellation content), so the placement hash keys on
-the session's constellation *content* — points and bit labelling, the
-same identity :mod:`repro.backend.dispatch` groups launches by — not the
-session id.  Sessions sharing a centroid set land on one shard and keep
-riding wide fused launches; ``placement_seed`` reshuffles the
-constellation→shard map without touching any per-session output.
+**Constellation-affinity placement.**  The placement hash keys on the
+session's constellation *content* — points and bit labelling — not the
+session id, so sessions built on one centroid set land on one shard and
+``placement_seed`` reshuffles the constellation→shard map without
+touching any per-session output.  Coalescing no longer depends on it:
+:func:`repro.serving.batching.coalesce` puts every frame of a shard's wave
+that shares a bit labelling and frame length into one fused launch,
+whatever its points, so a session that tracks or retrains onto its own
+centroids stays in its shard's launch.
 
 **Live migration.**  :meth:`migrate` moves a session between shards using
 the engines' export/import handover (built from the PR 5 drain machinery):
@@ -54,11 +55,12 @@ __all__ = ["FleetFrontEnd"]
 
 
 def _constellation_key(session: DemapperSession) -> int:
-    """Stable content hash of the session's centroid set + bit labelling.
+    """Stable content hash of the session's centroid set + bit labelling
+    (points bytes + bitset table bytes): the placement key.
 
-    Mirrors the identity :func:`repro.backend.dispatch.group_requests`
-    coalesces by (points bytes + bitset table bytes), so two sessions that
-    would share a fused launch always hash to the same placement key.
+    Only placement reads it; :func:`repro.backend.dispatch.group_requests`
+    coalesces by labelling and frame length, so sessions with different
+    keys on one shard still share a launch.
     """
     const = session.hybrid.constellation
     bitsets = session.hybrid.core.bitsets

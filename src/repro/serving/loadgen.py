@@ -200,9 +200,9 @@ def build_fleet(
 ) -> list[DemapperSession]:
     """Register ``n_sessions`` uniform sessions sharing one centroid set.
 
-    Sharing ``hybrid`` is what makes the fleet batchable — every session's
-    frames coalesce into the same multi-sigma launches until one of them
-    retrains onto its own centroids.  Each session gets its own monitor
+    Every session's frames coalesce into the same multi-sigma launches
+    (one labelling and frame length), also after some of them track or
+    retrain onto their own centroids.  Each session gets its own monitor
     (``monitor_factory()``), its own spawned retrain generator, and —
     optionally — its own retrain policy via ``retrain_factory(i)``.
 

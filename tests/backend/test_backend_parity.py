@@ -217,6 +217,50 @@ def _sweeps(draw):
     return received, sigma2s, tile
 
 
+@st.composite
+def _per_row_sets(draw):
+    """A random ``(S, n)`` sweep over runs of per-row 16-QAM-labelled point
+    sets, per-row σ² and a kernel tile width.
+
+    Sets are rotations of 16-QAM, some with duplicated points (distance
+    ties) or ±0.0 coordinates; adjacent runs may repeat a set or differ
+    only in the sign of a zero.  Some received samples sit exactly on a
+    point or at ±0.0.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    s = sum(runs)
+    n = draw(st.integers(0, 1500))
+    base = qam_constellation(16).points
+    sets = []
+    for _ in runs:
+        kind = draw(st.sampled_from(["base", "rotated", "ties", "zeros", "repeat"]))
+        pts = base * np.exp(1j * rng.uniform(-0.5, 0.5)) if kind == "rotated" else base.copy()
+        if kind == "ties":
+            pts[rng.integers(0, 16, 4)] = pts[rng.integers(0, 16, 4)]
+        if kind == "zeros":
+            re, im = pts.real.copy(), pts.imag.copy()
+            re[rng.integers(0, 16, 3)] = rng.choice([0.0, -0.0], 3)
+            im[rng.integers(0, 16, 3)] = rng.choice([0.0, -0.0], 3)
+            pts = re + 1j * im
+        if kind == "repeat" and sets:
+            pts = sets[-1].copy()
+        sets.append(pts)
+    points = np.concatenate([np.repeat(p[None], r, axis=0) for p, r in zip(sets, runs)])
+    sigma2s = np.array(
+        draw(st.lists(st.floats(1e-3, 2.0), min_size=s, max_size=s)), dtype=np.float64
+    )
+    idx = rng.integers(0, 16, (s, n))
+    received = np.take_along_axis(points, idx, axis=1) + np.sqrt(sigma2s)[:, None] * (
+        rng.normal(size=(s, n)) + 1j * rng.normal(size=(s, n))
+    )
+    exact = rng.random((s, n)) < 0.1
+    received[exact] = np.take_along_axis(points, idx, axis=1)[exact]
+    received[rng.random((s, n)) < 0.05] = complex(-0.0, 0.0)
+    tile = draw(st.integers(50, 9000))
+    return received, points, sigma2s, tile
+
+
 class TestMultiSigmaParity:
     """Batched (S, n) sweep kernels: shape invariance, tolerance, contracts."""
 
@@ -257,6 +301,50 @@ class TestMultiSigmaParity:
             else:
                 ref = _reference_logmap(qam16, received[s], sigma2s[s])
                 np.testing.assert_allclose(row, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("metric", ["maxlog", "logmap"])
+    @pytest.mark.parametrize(
+        "tier",
+        [
+            "numpy",
+            "numpy32",
+            pytest.param(
+                "numba",
+                marks=pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed"),
+            ),
+        ],
+    )
+    @given(sweep=_per_row_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_per_row_points_equal_s1_calls(self, tier, metric, sweep):
+        """With an ``(S, M)`` point table, every row of the call is
+        byte-equal to the S=1 call on that row with that row's own points,
+        whatever the runs of sets, S, n and tile width."""
+        import repro.backend.numpy_backend as npb
+
+        received, points, sigma2s, tile = sweep
+        be = backend_from_name(tier)
+        bitsets = PaddedBitSets.from_bit_matrix(qam_constellation(16).bit_matrix)
+        multi_fn = getattr(be, f"{metric}_llrs_multi")
+        single_fn = getattr(be, f"{metric}_llrs")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(npb, "MULTI_SIGMA_TILE", tile)
+            multi = multi_fn(received, points, bitsets, sigma2s)
+            rows = [
+                single_fn(y, pts, bitsets, s2)
+                for y, pts, s2 in zip(received, points, sigma2s)
+            ]
+        assert multi.shape == (*received.shape, 4)
+        for s, row in enumerate(rows):
+            assert multi[s].tobytes() == row.tobytes()
+
+    def test_per_row_points_shape_validated(self, qam16, sweep_received):
+        received, sigma2s = sweep_received
+        be = get_backend()
+        bitsets = PaddedBitSets.from_bit_matrix(qam16.bit_matrix)
+        table = np.repeat(qam16.points[None], received.shape[0] + 1, axis=0)
+        with pytest.raises(ValueError, match="one set per row"):
+            be.maxlog_llrs_multi(received, table, bitsets, sigma2s)
 
     def test_float32_multi_within_documented_tolerance(self, qam16, sweep_received):
         received, sigma2s = sweep_received
@@ -407,6 +495,37 @@ class TestPaddedBitSets:
         for r in range(4):
             padded = bs.table[r, bs.sizes[r]:]
             assert all(p in bs.table[r, : bs.sizes[r]] for p in padded)
+
+
+    @given(k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_tables_imply_equal_bit_matrices(self, k, seed):
+        """The table determines the bit matrix (row ``k+j`` lists exactly the
+        points whose bit ``j`` is 1), so requests batched on one table share
+        one ``bit_matrix``: any labelling, rebuilt from its table, is itself,
+        and two labellings differ iff their tables do."""
+        rng = np.random.default_rng(seed)
+        shifts = np.arange(k - 1, -1, -1)
+        labels = [np.arange(1 << k), rng.permutation(1 << k), rng.permutation(1 << k)]
+        tables = []
+        for bm in ((lab[:, None] >> shifts) & 1 for lab in labels):
+            bs = PaddedBitSets.from_bit_matrix(bm)
+            rebuilt = np.zeros_like(bm)
+            for j in range(bs.k):
+                rebuilt[bs.row(j, 1), j] = 1
+            assert np.array_equal(rebuilt, bm)
+            tables.append((bs.table.tobytes(), bm.tobytes()))
+        for ta, ba in tables:
+            for tb, bb in tables:
+                assert (ta == tb) == (ba == bb)
+
+    def test_rows_are_the_unpadded_python_int_sets(self, qam16):
+        bm = np.array([[0, 0], [0, 1], [1, 1], [1, 1]])
+        for bs in (PaddedBitSets.from_bit_matrix(qam16.bit_matrix), PaddedBitSets.from_bit_matrix(bm)):
+            assert len(bs.rows) == 2 * bs.k
+            for r, row in enumerate(bs.rows):
+                assert all(type(i) is int for i in row)
+                assert row == tuple(bs.table[r, : bs.sizes[r]].tolist())
 
 
 class TestParallelSimulator:

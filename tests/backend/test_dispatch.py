@@ -1,10 +1,15 @@
-"""Group-by-constellation batched dispatch: grouping, parity, allocation."""
+"""Group-by-labelling batched dispatch: grouping, parity, allocation."""
 
 import numpy as np
 import pytest
 
-from repro.backend import backend_from_name, get_backend
-from repro.backend.dispatch import DemapRequest, batched_maxlog_llrs, group_requests
+from repro.backend import PaddedBitSets, backend_from_name, get_backend
+from repro.backend.dispatch import (
+    DemapRequest,
+    batched_maxlog_llrs,
+    group_requests,
+    point_runs,
+)
 from repro.modulation import MaxLogDemapper, qam_constellation
 
 
@@ -51,6 +56,28 @@ class TestGrouping:
         ]
         assert group_requests(reqs) == [[0, 2], [1]]
 
+    def test_point_sets_share_a_group_in_runs(self, qam16):
+        # same labelling and length, different points: one group, each set's
+        # requests one consecutive run in order of the set's first request
+        rng = np.random.default_rng(0)
+        rot = qam16.rotated(0.1)
+        consts = [qam16, rot, qam16, qam16.rotated(0.2), rot]
+        reqs = [_request(c, rng, 64, 0.1) for c in consts]
+        assert group_requests(reqs) == [[0, 2, 1, 4, 3]]
+        ordered = [reqs[i] for i in group_requests(reqs)[0]]
+        assert point_runs(ordered) == [(0, 2), (2, 4), (4, 5)]
+
+    def test_labelling_splits(self, qam16):
+        # same point count, a different bit labelling: never one launch
+        rng = np.random.default_rng(0)
+        perm = rng.permutation(16)
+        relabelled = PaddedBitSets.from_bit_matrix(qam16.bit_matrix[perm])
+        reqs = [_request(qam16, rng, 64, 0.1) for _ in range(3)]
+        reqs[1] = DemapRequest(
+            received=reqs[1].received, points=qam16.points, bitsets=relabelled, sigma2=0.1
+        )
+        assert group_requests(reqs) == [[0, 2], [1]]
+
     def test_content_based_key_merges_equal_point_sets(self, qam16):
         # two independently built but identical constellations share a group
         rng = np.random.default_rng(0)
@@ -68,6 +95,18 @@ class TestParity:
         be = get_backend()
         for req, row in zip(reqs, llrs3):
             assert np.array_equal(row, be.maxlog_llrs(req.received, req.points, req.bitsets, req.sigma2))
+
+    @pytest.mark.parametrize("tier", ["numpy", "numpy32"])
+    def test_batched_mixed_point_sets_rows(self, qam16, tier):
+        # rows on different point sets: each is the one-row call on its own
+        rng = np.random.default_rng(5)
+        be = backend_from_name(tier)
+        consts = [qam16, qam16, qam16.rotated(0.05), qam16.rotated(-0.3), qam16.rotated(-0.3)]
+        reqs = [_request(c, rng, 80, 0.03 * (i + 1)) for i, c in enumerate(consts)]
+        llrs3 = batched_maxlog_llrs(reqs, backend=be).copy()
+        for req, row in zip(reqs, llrs3):
+            solo = be.maxlog_llrs(req.received, req.points, req.bitsets, req.sigma2)
+            assert row.tobytes() == solo.tobytes()
 
     def test_float32_tier_runs(self, qam16):
         rng = np.random.default_rng(9)
@@ -88,6 +127,16 @@ class TestAllocationAndValidation:
         hits1, misses1 = be.workspace.stats
         assert misses1 == misses0  # no new scratch buffers
         assert hits1 > hits0
+
+    def test_mixed_sets_steady_state_allocates_nothing(self, qam16):
+        rng = np.random.default_rng(2)
+        be = get_backend()
+        consts = [qam16, qam16.rotated(0.1), qam16.rotated(0.2)]
+        reqs = [_request(c, rng, 128, 0.1) for c in consts]
+        batched_maxlog_llrs(reqs, backend=be)  # warm the workspace
+        misses0 = be.workspace.stats[1]
+        batched_maxlog_llrs(reqs, backend=be)
+        assert be.workspace.stats[1] == misses0
 
     def test_empty_batched_rejected(self):
         with pytest.raises(ValueError, match="at least one request"):

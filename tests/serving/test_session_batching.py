@@ -122,13 +122,30 @@ class TestMicroBatching:
         assert sessions[0].pending == 1
 
     def test_different_constellations_split(self):
+        # same labelling, different points: one launch, each point set's
+        # rows one consecutive run in order of first appearance
         qam, psk = qam_constellation(16), psk_constellation(16)
         sessions = [make_session("q0", qam), make_session("p0", psk), make_session("q1", qam)]
         for i, s in enumerate(sessions):
             s.submit(make_frame(i))
         batches = collect_microbatches(sessions)
-        assert [b.occupancy for b in batches] == [2, 1]
-        assert {s.session_id for s in batches[0].sessions} == {"q0", "q1"}
+        assert [b.occupancy for b in batches] == [3]
+        assert [s.session_id for s in batches[0].sessions] == ["q0", "q1", "p0"]
+        # a different point count (hence labelling) or row length splits
+        sessions = [
+            make_session("q0", qam),
+            make_session("p8", psk_constellation(8)),
+            make_session("q1", qam),
+            make_session("long", qam),
+        ]
+        sessions[0].submit(make_frame(0))
+        sessions[1].submit(make_frame(1, order=8))
+        sessions[2].submit(make_frame(2))
+        sessions[3].submit(make_frame(3, n=64))
+        batches = collect_microbatches(sessions)
+        assert [[s.session_id for s in b.sessions] for b in batches] == [
+            ["q0", "q1"], ["p8"], ["long"],
+        ]
 
     def test_max_batch_splits_in_order(self):
         qam = qam_constellation(16)
